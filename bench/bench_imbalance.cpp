@@ -95,7 +95,8 @@ std::optional<Decomposition> plan_balanced(const ParticleSystem& sys,
   for (int n = 2; n <= field.max_n(); ++n) {
     const std::size_t ni = static_cast<std::size_t>(n);
     if (domains.dom[ni] == nullptr) continue;
-    cost.deposit(dom_storage[ni], cost_storage[ni]);
+    cost.deposit(dom_storage[ni], cost_storage[ni],
+                 strategy->root_reach(n));
   }
 
   const auto limits = width_limits_for(res, reaches);

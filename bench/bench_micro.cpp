@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "cell/domain.hpp"
 #include "engines/serial_engine.hpp"
 #include "md/builders.hpp"
@@ -12,6 +14,7 @@
 #include "support/rng.hpp"
 #include "tuples/kernels/kernels.hpp"
 #include "tuples/ucp.hpp"
+#include "tuples/walk.hpp"
 
 namespace {
 
@@ -198,8 +201,10 @@ BENCHMARK(BM_KernelReplay)
     ->Args({3, 1});
 
 void BM_KernelBuild(benchmark::State& state) {
-  // The build-side shape: enumerate at rcut + skin, record, then one
-  // kernel pass at the exact rcut over the recorded stream.
+  // The build-side shape (TupleStrategy::compute_build): enumerate at
+  // rcut + skin — per-path UCP for pairs, neighbour graph plus walk for
+  // n >= 3 — record, then one kernel pass at the exact rcut over the
+  // recorded stream.
   const int n = static_cast<int>(state.range(0));
   const bool scalar = state.range(1) != 0;
   SilicaFixture f;
@@ -207,16 +212,26 @@ void BM_KernelBuild(benchmark::State& state) {
   const kernels::BoundKernels kern(
       f.field,
       scalar ? kernels::KernelMode::kScalar : kernels::KernelMode::kAuto);
+  std::optional<ShapeTable> shapes;
+  if (n >= 3) shapes.emplace(s.cp);
+  const double rcut = f.field.rcut(n) + kBenchSkin;
   std::vector<Vec3> fd(s.dom.positions().size());
   std::vector<int> rec;
   rec.reserve(s.rec.size());
+  auto record = [&rec](std::span<const int> t) {
+    rec.insert(rec.end(), t.begin(), t.end());
+  };
   for (auto _ : state) {
     rec.clear();
-    for_each_tuple(s.dom, s.cp, f.field.rcut(n) + kBenchSkin,
-                   [&](std::span<const int> t) {
-                     rec.insert(rec.end(), t.begin(), t.end());
-                   },
-                   nullptr);
+    if (n == 2) {
+      for_each_tuple(s.dom, s.cp, rcut, record, nullptr);
+    } else {
+      NeighbourGraph graph;
+      TupleCounters tc;
+      graph.build(s.dom, *shapes, rcut, tc);
+      const auto [z0, z1] = walk_start_layers(s.dom, *shapes);
+      walk_tuples(s.dom, *shapes, graph, z0, z1, record, &tc);
+    }
     std::fill(fd.begin(), fd.end(), Vec3{});
     std::uint64_t evals = 0;
     benchmark::DoNotOptimize(
@@ -234,6 +249,23 @@ BENCHMARK(BM_KernelBuild)
     ->Args({2, 1})
     ->Args({3, 0})
     ->Args({3, 1});
+
+void BM_NeighbourGraph(benchmark::State& state) {
+  // The n = 3 build's first pass alone: the CSR neighbour graph the walk
+  // runs on (BM_KernelBuild/3 minus this minus BM_KernelReplay/3 is the
+  // walk itself).
+  SilicaFixture f;
+  const KernelStream s(f, 3);
+  const ShapeTable shapes(s.cp);
+  for (auto _ : state) {
+    NeighbourGraph graph;
+    TupleCounters tc;
+    graph.build(s.dom, shapes, f.field.rcut(3) + kBenchSkin, tc);
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * s.dom.num_atoms());
+}
+BENCHMARK(BM_NeighbourGraph);
 
 }  // namespace
 

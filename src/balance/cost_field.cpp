@@ -34,12 +34,14 @@ std::int32_t CostField::bin_of(const Vec3& p) const {
 }
 
 void CostField::deposit(const CellDomain& dom,
-                        const std::vector<std::uint64_t>& cell_cost) {
+                        const std::vector<std::uint64_t>& cell_cost,
+                        const HaloSpec& root) {
   const Int3 od = dom.owned_dims();
   SCMD_REQUIRE(static_cast<long long>(cell_cost.size()) == od.volume(),
                "cell cost array does not match the domain's owned brick");
   const Vec3 cl = dom.grid().cell_lengths();
   const auto pos = dom.positions();
+  std::vector<int> starts;
   for (int z = 0; z < od.z; ++z) {
     for (int y = 0; y < od.y; ++y) {
       for (int x = 0; x < od.x; ++x) {
@@ -47,15 +49,28 @@ void CostField::deposit(const CellDomain& dom,
             cell_cost[(static_cast<std::size_t>(z) * od.y + y) * od.x + x]);
         if (w == 0.0) continue;
         const Int3 local = dom.owned_base() + Int3{x, y, z};
-        const auto [first, mid] = dom.cell_start_range(dom.cell_index(local));
-        if (mid > first) {
-          const double share = w / static_cast<double>(mid - first);
-          for (int i = first; i < mid; ++i)
+        // The home's chains start in h + v0: with SC's first-octant
+        // shift that is up to root_reach cells above h, and charging the
+        // work to h itself misplaces it at cuts through density steps.
+        starts.clear();
+        for (int dz = -root.hi.z; dz <= root.lo.z; ++dz) {
+          for (int dy = -root.hi.y; dy <= root.lo.y; ++dy) {
+            for (int dx = -root.hi.x; dx <= root.lo.x; ++dx) {
+              const Int3 c = local + Int3{dx, dy, dz};
+              if (!dom.in_local(c)) continue;
+              const auto [first, mid] = dom.cell_start_range(dom.cell_index(c));
+              for (int i = first; i < mid; ++i) starts.push_back(i);
+            }
+          }
+        }
+        if (!starts.empty()) {
+          const double share = w / static_cast<double>(starts.size());
+          for (const int i : starts)
             add(bin_of(box_.wrap(pos[static_cast<std::size_t>(i)])), share);
         } else {
-          // No chain-start atoms in the cell (its work came from scans
-          // that rejected every candidate, or from extended home cells):
-          // keep the mass, deposited at the cell center.
+          // No chain-start atoms (its work came from scans that rejected
+          // every candidate, or from extended home cells): keep the
+          // mass, deposited at the cell center.
           const Int3 g = dom.global_coord(local);
           const Vec3 center{(g.x + 0.5) * cl.x, (g.y + 0.5) * cl.y,
                             (g.z + 0.5) * cl.z};

@@ -10,11 +10,12 @@
 /// exactly to rank costs for any candidate decomposition.
 ///
 /// Cut planes live on a fine lattice finer than every cell grid.  To
-/// evaluate sub-cell cuts, each cell's cost is apportioned over the
-/// chain-start atoms binned in it (the work scales with the number of
-/// chains rooted there) and deposited at each atom's fine-lattice bin;
-/// cells without start atoms deposit at the cell center so no cost mass
-/// is ever dropped.
+/// evaluate sub-cell cuts, each home cell's cost is apportioned over the
+/// chain-start atoms of the cells its chains start in — h + v0 over the
+/// strategy's root offsets (ForceStrategy::root_reach), since the rank
+/// owning the start atom does the chain's work — and deposited at each
+/// atom's fine-lattice bin; cells without such atoms deposit at the cell
+/// center so no cost mass is ever dropped.
 
 #include <cstdint>
 #include <utility>
@@ -47,9 +48,13 @@ class CostField {
 
   /// Apportion one domain's accumulated per-owned-cell costs (one entry
   /// per owned cell, [z][y][x], as collected by RankEngine/ForceAccum)
-  /// over the chain-start atoms of each cell.
+  /// evenly over the chain-start atoms of the cells h + v0, v0 in
+  /// [-root.hi, root.lo] per axis (`root` = the strategy's root_reach;
+  /// zero keeps each cost in its own cell).  The domain's halo must hold
+  /// those cells, as it does for the pattern that produced the costs.
   void deposit(const CellDomain& dom,
-               const std::vector<std::uint64_t>& cell_cost);
+               const std::vector<std::uint64_t>& cell_cost,
+               const HaloSpec& root);
 
   /// Nonzero entries as (index, value) pairs — the wire format ranks send
   /// to the solver rank.

@@ -94,7 +94,8 @@ void Rebalancer::rebalance(Comm& comm, RankEngine& engine) {
   CostField local(decomp.box(), res);
   for (int n = 2; n <= kMaxTupleLen; ++n) {
     if (!engine.grid_active(n)) continue;
-    local.deposit(engine.domain(n), engine.cell_costs(n));
+    local.deposit(engine.domain(n), engine.cell_costs(n),
+                  strategy.root_reach(n));
   }
 
   // Gather the sparse fields on rank 0, solve, broadcast the plan as

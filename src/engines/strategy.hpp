@@ -34,7 +34,9 @@ struct ForceAccum {
   /// Optional per-home-cell search-work attribution, one entry per owned
   /// cell of dom[n] in [z][y][x] order (sized owned_dims().volume()).
   /// Entries are *added to*, so a caller can accumulate across steps —
-  /// this feeds the load balancer's cost field.  Null to skip.
+  /// this feeds the load balancer's cost field.  Null to skip.  (A
+  /// tuple-cache build counts chain candidates for n >= 3; see
+  /// TupleStrategy::compute_build.)
   std::array<std::vector<std::uint64_t>*, kMaxTupleLen + 1> cell_cost{};
 };
 

@@ -10,6 +10,24 @@
 
 namespace scmd {
 
+namespace {
+
+/// Run fn(part) for every part in [0, parts), one thread per part (inline
+/// when there is only one).
+template <class Fn>
+void run_threads(int parts, Fn&& fn) {
+  if (parts <= 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(parts));
+  for (int t = 0; t < parts; ++t) workers.emplace_back([&fn, t] { fn(t); });
+  for (std::thread& w : workers) w.join();
+}
+
+}  // namespace
+
 TupleStrategy::TupleStrategy(const ForceField& field, PatternKind kind,
                              bool measure_force_set, int reach,
                              bool shared_prefix)
@@ -44,6 +62,10 @@ TupleStrategy::TupleStrategy(const ForceField& field, PatternKind kind,
     compiled_[static_cast<std::size_t>(n)] = CompiledPattern(psi);
     halo_[static_cast<std::size_t>(n)] =
         compiled_[static_cast<std::size_t>(n)].required_halo();
+    if (n >= 3) {
+      shapes_[static_cast<std::size_t>(n)] =
+          ShapeTable(compiled_[static_cast<std::size_t>(n)]);
+    }
   }
 }
 
@@ -163,18 +185,13 @@ double TupleStrategy::run_parts(const CellDomain& dom, std::vector<Vec3>& f,
     std::uint64_t evals = 0;
   };
   std::vector<Part> parts(static_cast<std::size_t>(threads));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Part& part = parts[static_cast<std::size_t>(t)];
-      part.f = scratch_.checkout(static_cast<std::size_t>(dom.num_atoms()));
-      const int z0 = t * z_dim / threads;
-      const int z1 = (t + 1) * z_dim / threads;
-      part.energy = part_fn(t, z0, z1, part.f.data(), part.tc, part.evals);
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  run_threads(threads, [&](int t) {
+    Part& part = parts[static_cast<std::size_t>(t)];
+    part.f = scratch_.checkout(static_cast<std::size_t>(dom.num_atoms()));
+    const int z0 = t * z_dim / threads;
+    const int z1 = (t + 1) * z_dim / threads;
+    part.energy = part_fn(t, z0, z1, part.f.data(), part.tc, part.evals);
+  });
 
   double energy = 0.0;
   for (Part& part : parts) {
@@ -277,12 +294,9 @@ double TupleStrategy::compute_build(const ForceField& field,
                  "missing domain or force array for active n");
     SCMD_REQUIRE(static_cast<int>(f->size()) == dom->num_atoms(),
                  "force array size mismatch");
-    const CompiledPattern& cp = compiled_[ni];
-    const auto pos = dom->positions();
-    const auto type = dom->types();
 
     if (measure_force_set_)
-      counters.force_set[ni] += force_set_size(*dom, cp);
+      counters.force_set[ni] += force_set_size(*dom, compiled_[ni]);
 
     std::uint64_t* cell_cost = nullptr;
     if (forces.cell_cost[ni] != nullptr) {
@@ -292,39 +306,94 @@ double TupleStrategy::compute_build(const ForceField& field,
       cell_cost = forces.cell_cost[ni]->data();
     }
 
-    const double rcut = field.rcut(n);
-    const double rcut2 = rcut * rcut;
+    // Record at rcut + skin, part by part; the parts concatenate to the
+    // same list for any thread count.
     TupleList& list = cache.list(n);
     list.reset(*dom, n);
-    // Per-part tuple recording, concatenated in part order below so the
-    // list layout is deterministic for a fixed thread count.
-    std::vector<std::vector<int>> rec(
-        static_cast<std::size_t>(num_threads_));
-
-    // The enumeration (at rcut + skin) only records; the part's recorded
-    // stream is then evaluated in one kernel sweep with the exact-rcut
-    // mask — the very sweep replay will run over the same list, so a
-    // build step and an immediate replay at the same positions produce
-    // identical forces and energy.
-    energy += run_parts(
-        *dom, *f, counters, n,
-        [&](int part, int z0, int z1, Vec3* fd, TupleCounters& tc,
-            std::uint64_t& evals) {
-          std::vector<int>& r = rec[static_cast<std::size_t>(part)];
-          enumerate_tuples(
-              shared_prefix_, *dom, cp, rcut + skin, z0, z1,
-              [&](std::span<const int> t) {
-                r.insert(r.end(), t.begin(), t.end());
-              },
-              &tc, cell_cost);
-          return kern.eval(n, r.data(),
-                           static_cast<long long>(r.size()) / n, pos, type,
-                           rcut2, fd, evals);
-        });
-
+    const std::vector<std::vector<int>> rec =
+        n == 2 ? record_pairs(*dom, field.rcut(n) + skin, counters, cell_cost)
+               : record_walk(*dom, n, field.rcut(n) + skin, counters,
+                             cell_cost);
     for (const std::vector<int>& r : rec) list.append_flat(r);
+
+    // One kernel sweep over the whole list with the exact-rcut mask: the
+    // sweep an unthreaded replay runs over the same list, so forces and
+    // energy are bitwise independent of the thread count, and a build
+    // and an immediate replay at the same positions agree.
+    const double rcut = field.rcut(n);
+    std::uint64_t evals = 0;
+    energy += kern.eval(n, list.tuples().data(), list.num_tuples(),
+                        list.positions(), list.types(), rcut * rcut,
+                        f->data(), evals);
+    counters.evals[ni] += evals;
   }
   return energy;
+}
+
+std::vector<std::vector<int>> TupleStrategy::record_pairs(
+    const CellDomain& dom, double rcut, EngineCounters& counters,
+    std::uint64_t* cell_cost) const {
+  // Per-path UCP over home-cell z-slabs: the 14-path SC pair pattern
+  // already is the eighth-shell neighbour search.  Home slabs are
+  // disjoint, so the parts share cell_cost safely, and each part streams
+  // its homes in order.
+  const int z_dim = dom.owned_dims().z;
+  const int threads = std::min(num_threads_, z_dim);
+  std::vector<std::vector<int>> rec(static_cast<std::size_t>(threads));
+  std::vector<TupleCounters> tc(static_cast<std::size_t>(threads));
+  run_threads(threads, [&](int t) {
+    std::vector<int>& r = rec[static_cast<std::size_t>(t)];
+    enumerate_tuples(
+        shared_prefix_, dom, compiled_[2], rcut, t * z_dim / threads,
+        (t + 1) * z_dim / threads,
+        [&r](std::span<const int> tuple) {
+          r.insert(r.end(), tuple.begin(), tuple.end());
+        },
+        &tc[static_cast<std::size_t>(t)], cell_cost);
+  });
+  for (const TupleCounters& c : tc) counters.tuples[2] += c;
+  return rec;
+}
+
+std::vector<std::vector<int>> TupleStrategy::record_walk(
+    const CellDomain& dom, int n, double rcut, EngineCounters& counters,
+    std::uint64_t* cell_cost) const {
+  // One neighbour graph, shared by the parts; the parts split the chain
+  // start layers, so each walks disjoint starts and their streams
+  // concatenate to the one-part stream.  Parts can reach the same home
+  // cell, so each counts its cost into its own array.
+  const std::size_t ni = static_cast<std::size_t>(n);
+  const ShapeTable& shapes = shapes_[ni];
+  NeighbourGraph graph;
+  graph.build(dom, shapes, rcut, counters.tuples[ni]);
+  const auto [z0, z1] = walk_start_layers(dom, shapes);
+  const int threads = std::min(num_threads_, z1 - z0);
+  const std::size_t vol = static_cast<std::size_t>(dom.owned_dims().volume());
+  std::vector<std::vector<int>> rec(static_cast<std::size_t>(threads));
+  std::vector<TupleCounters> tc(static_cast<std::size_t>(threads));
+  std::vector<std::vector<std::uint64_t>> cost(
+      cell_cost != nullptr && threads > 1 ? static_cast<std::size_t>(threads)
+                                          : 0);
+  run_threads(threads, [&](int t) {
+    const std::size_t ti = static_cast<std::size_t>(t);
+    std::uint64_t* part_cost = cell_cost;
+    if (!cost.empty()) {
+      cost[ti].assign(vol, 0);
+      part_cost = cost[ti].data();
+    }
+    std::vector<int>& r = rec[ti];
+    walk_tuples(
+        dom, shapes, graph, z0 + (z1 - z0) * t / threads,
+        z0 + (z1 - z0) * (t + 1) / threads,
+        [&r](std::span<const int> tuple) {
+          r.insert(r.end(), tuple.begin(), tuple.end());
+        },
+        &tc[ti], part_cost);
+  });
+  for (const TupleCounters& c : tc) counters.tuples[ni] += c;
+  for (const std::vector<std::uint64_t>& c : cost)
+    for (std::size_t i = 0; i < vol; ++i) cell_cost[i] += c[i];
+  return rec;
 }
 
 double TupleStrategy::compute_replay(const ForceField& field,
@@ -383,19 +452,14 @@ double TupleStrategy::replay_term(const kernels::BoundKernels& kern,
     std::uint64_t evals = 0;
   };
   std::vector<Part> parts(static_cast<std::size_t>(threads));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Part& part = parts[static_cast<std::size_t>(t)];
-      part.f = scratch_.checkout(f.size());
-      const long long b = count * t / threads;
-      const long long e = count * (t + 1) / threads;
-      part.energy = kern.eval(n, tuples + b * n, e - b, pos, type, rcut2,
-                              part.f.data(), part.evals);
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  run_threads(threads, [&](int t) {
+    Part& part = parts[static_cast<std::size_t>(t)];
+    part.f = scratch_.checkout(f.size());
+    const long long b = count * t / threads;
+    const long long e = count * (t + 1) / threads;
+    part.energy = kern.eval(n, tuples + b * n, e - b, pos, type, rcut2,
+                            part.f.data(), part.evals);
+  });
 
   double energy = 0.0;
   for (Part& part : parts) {

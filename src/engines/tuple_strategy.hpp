@@ -11,7 +11,9 @@
 /// cutoff rcut + skin and records every accepted tuple into a
 /// TupleListCache while evaluating the exact-rcut subset; compute_replay
 /// re-evaluates the recorded lists with exact-rcut filtering and no
-/// search at all.
+/// search at all.  The build finds pairs by per-path UCP and n >= 3
+/// tuples by the neighbour-graph walk (tuples/walk.hpp), which records
+/// the same tuples at a fraction of the search work.
 ///
 /// All three paths evaluate tuples through one dispatch point — the
 /// BoundKernels table resolved at construction (docs/KERNELS.md), which
@@ -28,6 +30,7 @@
 #include "tuples/kernels/kernels.hpp"
 #include "tuples/tuple_list.hpp"
 #include "tuples/ucp.hpp"
+#include "tuples/walk.hpp"
 
 namespace scmd {
 
@@ -68,9 +71,13 @@ class TupleStrategy final : public ForceStrategy {
   /// Tuple-cache build pass: enumerate every term at rcut(n) + skin,
   /// record the accepted tuples into `cache` (lists are reset here), and
   /// evaluate the subset whose consecutive pairs pass the exact rcut(n).
-  /// Domains must be binned on grids sized by min_cell_size(n,
-  /// rcut(n) + skin).  The caller marks the cache built (it owns the
-  /// displacement reference).
+  /// n = 2 uses per-path UCP, n >= 3 the neighbour-graph walk; both
+  /// record UCP's tuples, in an order that does not depend on the thread
+  /// count.  For n >= 3, `forces.cell_cost` receives chain candidates per
+  /// home cell and the search counters count the walk's work (see
+  /// walk.hpp).  Domains must be binned on grids sized by
+  /// min_cell_size(n, rcut(n) + skin).  The caller marks the cache built
+  /// (it owns the displacement reference).
   double compute_build(const ForceField& field, const DomainSet& domains,
                        double skin, TupleListCache& cache, ForceAccum& forces,
                        EngineCounters& counters) const;
@@ -128,6 +135,18 @@ class TupleStrategy final : public ForceStrategy {
   double run_parts(const CellDomain& dom, std::vector<Vec3>& f,
                    EngineCounters& counters, int n, PartFn&& part_fn) const;
 
+  /// compute_build's recording passes, one flat tuple vector per part in
+  /// part order; they add their search work to `counters` and
+  /// `cell_cost` (may be null).
+  std::vector<std::vector<int>> record_pairs(const CellDomain& dom,
+                                             double rcut,
+                                             EngineCounters& counters,
+                                             std::uint64_t* cell_cost) const;
+  std::vector<std::vector<int>> record_walk(const CellDomain& dom, int n,
+                                            double rcut,
+                                            EngineCounters& counters,
+                                            std::uint64_t* cell_cost) const;
+
   double replay_term(const kernels::BoundKernels& kern, const TupleList& list,
                      double rcut, std::vector<Vec3>& f,
                      EngineCounters& counters, int n) const;
@@ -141,6 +160,7 @@ class TupleStrategy final : public ForceStrategy {
   std::array<bool, kMaxTupleLen + 1> active_{};
   std::array<CompiledPattern, kMaxTupleLen + 1> compiled_{};
   std::array<HaloSpec, kMaxTupleLen + 1> halo_{};
+  std::array<ShapeTable, kMaxTupleLen + 1> shapes_{};  ///< n >= 3 only
   kernels::KernelMode kernel_mode_ = kernels::KernelMode::kAuto;
   kernels::BoundKernels kernels_;
   mutable ScratchPool scratch_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -506,45 +507,46 @@ void RankEngine::step() {
     }
   }
 
-  // Collective divergence gate.  A diverged system (non-finite position
-  // or velocity after the drift) would wedge the exchange below: the
-  // NaN atom never classifies as leaving, the one-hop invariant throws
-  // on *this* rank only, and the peers block forever in their matching
-  // recvs.  One allreduce makes the verdict unanimous, so every rank
-  // throws at the same step boundary and the caller — scmd_run or a
-  // serve worker — sees a clean failure instead of a hung cluster.
-  {
-    double bad = 0.0;
-    for (int i = 0; i < state_.num_owned(); ++i) {
-      const std::size_t ii = static_cast<std::size_t>(i);
-      const Vec3& p = state_.pos[ii];
-      const Vec3& v = state_.vel[ii];
-      if (!std::isfinite(p.x + p.y + p.z) ||
-          !std::isfinite(v.x + v.y + v.z)) {
-        bad = 1.0;
-        break;
-      }
-    }
-    if (comm_.allreduce_max(bad) > 0.0) {
-      throw Error(
-          "system diverged: non-finite position or velocity after "
-          "integration (reduce the time step or the initial temperature)");
-    }
-  }
-
-  // Collective tuple-list retention decision (identical on every rank):
-  // replay while the global max displacement since the build stays
+  // One collective decides two things for every rank.
+  //
+  // Divergence gate: a diverged system (non-finite position or velocity
+  // after the drift) would wedge the exchange below — the NaN atom never
+  // classifies as leaving, the one-hop invariant throws on *this* rank
+  // only, and the peers block forever in their matching recvs.  A rank
+  // that sees one contributes +inf, so every rank throws at the same step
+  // boundary and the caller (scmd_run or a serve worker) sees a clean
+  // failure instead of a hung cluster.
+  //
+  // Tuple-list retention: otherwise the max is the global largest
+  // displacement since the build, and every rank replays while it stays
   // within skin/2.  Decided before migration because reuse steps freeze
   // ownership and ghost routes — migration and the balancer run only on
   // rebuild steps (drift ≤ skin/2 is covered by the inflated halos, so
   // the one-hop migration assumption still holds at the next rebuild).
-  bool reuse = false;
-  if (tuple_strategy_ != nullptr && cache_.valid()) {
-    const double d2 = cache_.max_displacement2(
-        decomp_.box(), {state_.pos.data(), state_.pos.size()});
-    reuse = !cache_.exceeds_skin(comm_.allreduce_max(d2));
-    if (!reuse) cache_.invalidate();
+  bool diverged = false;
+  for (int i = 0; i < state_.num_owned() && !diverged; ++i) {
+    const std::size_t ii = static_cast<std::size_t>(i);
+    const Vec3& p = state_.pos[ii];
+    const Vec3& v = state_.vel[ii];
+    diverged = !std::isfinite(p.x + p.y + p.z) ||
+               !std::isfinite(v.x + v.y + v.z);
   }
+  const bool cached = tuple_strategy_ != nullptr && cache_.valid();
+  double local = 0.0;
+  if (diverged) {
+    local = std::numeric_limits<double>::infinity();
+  } else if (cached) {
+    local = cache_.max_displacement2(decomp_.box(),
+                                     {state_.pos.data(), state_.pos.size()});
+  }
+  const double global = comm_.allreduce_max(local);
+  if (std::isinf(global)) {
+    throw Error(
+        "system diverged: non-finite position or velocity after "
+        "integration (reduce the time step or the initial temperature)");
+  }
+  const bool reuse = cached && !cache_.exceeds_skin(global);
+  if (cached && !reuse) cache_.invalidate();
 
   if (reuse) {
     if (balancer_ != nullptr) balancer_->on_cached_step();

@@ -5,9 +5,10 @@
 ///
 /// Hybrid-MD wins serial walltime comparisons by amortizing pair-list
 /// construction across steps.  This subsystem extends the same skin-based
-/// retention from pairs to arbitrary n-tuple patterns: one UCP enumeration
-/// at the inflated cutoff rcut + skin records every accepted tuple of each
-/// active n as a compact flat index array; subsequent steps *replay* the
+/// retention from pairs to arbitrary n-tuple patterns: one enumeration at
+/// the inflated cutoff rcut + skin (UCP for pairs, the neighbour-graph walk
+/// of walk.hpp for n >= 3) records every accepted tuple of each active n
+/// as a compact flat index array; subsequent steps *replay* the
 /// recorded lists with exact-rcut filtering inside the eval kernel — no
 /// cell walk, no chain search, no re-binning.
 ///

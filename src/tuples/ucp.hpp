@@ -18,7 +18,9 @@
 ///     gid(first) < gid(last).
 ///
 /// The enumeration cost counters are the measured quantities behind the
-/// paper's Fig. 7 and the search-cost side of Figs. 8-9.
+/// paper's Fig. 7 and the search-cost side of Figs. 8-9.  (The tuple
+/// cache's build reaches the same n >= 3 tuples by the cheaper
+/// neighbour-graph walk of walk.hpp.)
 
 #include <array>
 #include <cstdint>

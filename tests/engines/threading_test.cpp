@@ -23,12 +23,15 @@ struct Result {
   EngineCounters counters;
 };
 
-Result run_silica(int threads, const std::string& strategy) {
+Result run_silica(int threads, const std::string& strategy,
+                  bool cached = false) {
   Rng rng(170);
   const VashishtaSiO2 field;
   ParticleSystem sys = make_silica(1536, 2.2, 400.0, rng);
   SerialEngineConfig cfg;
   cfg.num_threads = threads;
+  cfg.tuple_cache.enabled = cached;
+  cfg.tuple_cache.skin = cached ? 0.5 : 0.0;
   SerialEngine engine(sys, field, make_strategy(strategy, field), cfg);
   return {engine.potential_energy(),
           {sys.forces().begin(), sys.forces().end()}, engine.counters()};
@@ -78,6 +81,24 @@ TEST(ThreadingTest, WorksWithFullShellAndTrie) {
     EXPECT_EQ(threaded.counters.tuples[3].chain_candidates,
               base.counters.tuples[3].chain_candidates)
         << name;
+  }
+}
+
+TEST(ThreadingTest, CachedBuildIsIndependentOfThreadCount) {
+  // The priming build records the same list at any thread count (pairs
+  // by home slab, n = 3 by walk start layer, concatenated in order) and
+  // evaluates it in one sweep, so even the forces match bitwise.
+  const Result base = run_silica(1, "SC", true);
+  const Result threaded = run_silica(3, "SC", true);
+  EXPECT_EQ(threaded.counters.cache_rebuilds, 1u);
+  EXPECT_EQ(threaded.counters.tuples[3].chain_candidates,
+            base.counters.tuples[3].chain_candidates);
+  EXPECT_EQ(threaded.counters.tuples[3].accepted,
+            base.counters.tuples[3].accepted);
+  EXPECT_EQ(threaded.energy, base.energy);
+  ASSERT_EQ(threaded.forces.size(), base.forces.size());
+  for (std::size_t i = 0; i < base.forces.size(); ++i) {
+    EXPECT_EQ(threaded.forces[i], base.forces[i]) << i;
   }
 }
 

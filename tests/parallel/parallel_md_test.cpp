@@ -45,6 +45,14 @@ struct Case {
   Int3 pgrid;
 };
 
+// Without a printer gtest dumps Case's raw bytes, which include the heap
+// address of the string buffer, so the registered test name would change
+// whenever the binary's layout does.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.strategy << " on " << c.pgrid.x << 'x' << c.pgrid.y << 'x'
+      << c.pgrid.z;
+}
+
 class ParallelMdTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ParallelMdTest, MatchesSerialSilicaRun) {

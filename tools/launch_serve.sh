@@ -101,12 +101,13 @@ STATUS=0
 FAILED_RANK=-1
 RANK=0
 for PID in $PIDS; do
-    if ! wait "$PID"; then
-        RC=$?
-        if [ "$STATUS" -eq 0 ]; then
-            STATUS=$RC
-            FAILED_RANK=$RANK
-        fi
+    # `if ! wait` would leave $? as the negation's status (0); capture
+    # the rank's own status instead.
+    RC=0
+    wait "$PID" || RC=$?
+    if [ "$RC" -ne 0 ] && [ "$STATUS" -eq 0 ]; then
+        STATUS=$RC
+        FAILED_RANK=$RANK
     fi
     RANK=$((RANK + 1))
 done
