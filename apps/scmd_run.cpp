@@ -95,12 +95,12 @@
 //   recv_timeout_s   tcp: recv/collective wait bound in seconds before
 //                    the run fails with an error; 0 = wait forever
 //                    (default 60)
-//   status_port      tcp, rank 0: serve a live run-status snapshot on
-//                    this TCP port (0 picks an ephemeral port; the bound
-//                    port is printed).  Poll it with tools/scmd_top.py.
-//                    Omit the key to disable the monitor.  Safe to pass
-//                    to every rank (launch_tcp.sh does) — only rank 0
-//                    binds it.
+//   status_port      parallel runs, rank 0: serve a live run-status
+//                    snapshot on this TCP port (0 picks an ephemeral
+//                    port; the bound port is printed).  Poll it with
+//                    tools/scmd_top.py.  Omit the key to disable the
+//                    monitor.  Safe to pass to every tcp rank
+//                    (launch_tcp.sh does) — only rank 0 binds it.
 
 #include <cstdio>
 #include <memory>
@@ -199,9 +199,9 @@ int run(const std::string& path,
     SCMD_REQUIRE(!cfg.has("rank") && !cfg.has("nranks") &&
                      !cfg.has("rendezvous"),
                  "rank/nranks/rendezvous need transport=tcp");
-    SCMD_REQUIRE(!cfg.has("status_port"),
-                 "status_port needs transport=tcp (the monitor serves a "
-                 "distributed run's rank 0)");
+    SCMD_REQUIRE(!cfg.has("status_port") || ranks > 1,
+                 "status_port needs a parallel run (ranks > 1 or "
+                 "transport=tcp)");
   }
   // In a TCP run only rank 0 reports and writes artifacts.
   const bool root = !tcp || tcp_rank == 0;
@@ -350,7 +350,7 @@ int run(const std::string& path,
                   status->port(), status->port());
       std::fflush(stdout);
     }
-    // Durability plumbing for the distributed driver.
+    // Durability plumbing for the rank driver.
     pcfg.durability.checkpoint_every = checkpoint_every;
     pcfg.durability.checkpoint_dir = checkpoint_dir;
     pcfg.durability.checkpoint_retain = checkpoint_retain;

@@ -9,6 +9,7 @@ namespace scmd {
 
 Cluster::Cluster(int num_ranks) : num_ranks_(num_ranks), boxes_(num_ranks) {
   SCMD_REQUIRE(num_ranks >= 1, "cluster needs at least one rank");
+  coll_values_.assign(static_cast<std::size_t>(num_ranks), 0.0);
   transports_.reserve(static_cast<std::size_t>(num_ranks));
   for (int r = 0; r < num_ranks; ++r)
     transports_.push_back(std::make_unique<InProcTransport>(*this, r));
@@ -21,11 +22,6 @@ InProcTransport& Cluster::transport(int rank) {
 
 void Cluster::send(int src, int dst, int tag, Bytes payload) {
   SCMD_REQUIRE(dst >= 0 && dst < num_ranks_, "send to invalid rank");
-  {
-    MutexLock lk(stats_m_);
-    ++total_messages_;
-    total_bytes_ += payload.size();
-  }
   Mailbox& box = boxes_[static_cast<std::size_t>(dst)];
   {
     MutexLock lk(box.m);
@@ -43,7 +39,10 @@ Bytes Cluster::recv(int dst, int src, int tag, std::uint64_t* stall_ns) {
   auto& q = box.queues[{src, tag}];
   if (q.empty()) {
     const auto t0 = std::chrono::steady_clock::now();
-    while (q.empty()) box.cv.wait(box.m);
+    while (q.empty()) {
+      throw_if_aborted();
+      box.cv.wait(box.m);
+    }
     if (stall_ns != nullptr)
       *stall_ns += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -56,41 +55,55 @@ Bytes Cluster::recv(int dst, int src, int tag, std::uint64_t* stall_ns) {
   return out;
 }
 
-double Cluster::reduce(double value, bool is_max) {
+double Cluster::reduce(int rank, double value, bool is_max) {
+  SCMD_REQUIRE(rank >= 0 && rank < num_ranks_, "collective on invalid rank");
   MutexLock lk(coll_m_);
+  throw_if_aborted();
   const std::uint64_t my_gen = coll_gen_;
-  if (!coll_started_) {
-    coll_acc_ = value;
-    coll_started_ = true;
-  } else {
-    coll_acc_ = is_max ? std::max(coll_acc_, value) : coll_acc_ + value;
-  }
+  coll_values_[static_cast<std::size_t>(rank)] = value;
   if (++coll_count_ == num_ranks_) {
-    coll_result_ = coll_acc_;
+    double acc = coll_values_[0];
+    for (std::size_t r = 1; r < coll_values_.size(); ++r)
+      acc = is_max ? std::max(acc, coll_values_[r]) : acc + coll_values_[r];
+    coll_result_ = acc;
     coll_count_ = 0;
-    coll_started_ = false;
     ++coll_gen_;
     coll_cv_.notify_all();
     return coll_result_;
   }
-  while (coll_gen_ == my_gen) coll_cv_.wait(coll_m_);
+  while (coll_gen_ == my_gen) {
+    throw_if_aborted();
+    coll_cv_.wait(coll_m_);
+  }
   return coll_result_;
 }
 
-void Cluster::barrier() { reduce(0.0, false); }
+void Cluster::barrier(int rank) { reduce(rank, 0.0, false); }
 
-double Cluster::allreduce_sum(double value) { return reduce(value, false); }
-
-double Cluster::allreduce_max(double value) { return reduce(value, true); }
-
-std::uint64_t Cluster::total_messages() const {
-  MutexLock lk(stats_m_);
-  return total_messages_;
+double Cluster::allreduce_sum(int rank, double value) {
+  return reduce(rank, value, false);
 }
 
-std::uint64_t Cluster::total_bytes() const {
-  MutexLock lk(stats_m_);
-  return total_bytes_;
+double Cluster::allreduce_max(int rank, double value) {
+  return reduce(rank, value, true);
+}
+
+void Cluster::abort() {
+  aborted_.store(true);
+  // Taking each mutex between the store and the notify guarantees that a
+  // waiter which saw aborted_ == false is already parked on its condition
+  // variable, so the notify cannot be lost.
+  for (Mailbox& box : boxes_) {
+    { MutexLock lk(box.m); }
+    box.cv.notify_all();
+  }
+  { MutexLock lk(coll_m_); }
+  coll_cv_.notify_all();
+}
+
+void Cluster::throw_if_aborted() const {
+  SCMD_REQUIRE(!aborted_.load(),
+               "in-process cluster aborted: a peer rank failed");
 }
 
 std::uint64_t Cluster::mailbox_high_water(int rank) const {

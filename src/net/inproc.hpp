@@ -49,17 +49,21 @@ class Cluster {
   Bytes recv(int dst, int src, int tag, std::uint64_t* stall_ns = nullptr);
 
   /// Generation barrier; all ranks must call.
-  void barrier();
+  void barrier(int rank);
 
   /// Sum reduction over all ranks; all ranks must call, all get the sum.
-  double allreduce_sum(double value);
+  /// The values are folded in rank order once the last rank arrives, so
+  /// the result is bit-reproducible whatever the arrival order (the same
+  /// order TcpTransport folds in).
+  double allreduce_sum(int rank, double value);
 
   /// Max reduction over all ranks.
-  double allreduce_max(double value);
+  double allreduce_max(int rank, double value);
 
-  /// Cumulative message statistics (for tests/diagnostics).
-  std::uint64_t total_messages() const;
-  std::uint64_t total_bytes() const;
+  /// Fail the cluster: every recv/barrier/allreduce that is blocked now,
+  /// or blocks later, throws Error instead of waiting for a rank that
+  /// will never send.  run_cluster calls this when a rank throws.
+  void abort();
 
   /// High watermark of messages queued-but-unreceived in rank's mailbox.
   std::uint64_t mailbox_high_water(int rank) const;
@@ -76,7 +80,8 @@ class Cluster {
     std::uint64_t high_water SCMD_GUARDED_BY(m) = 0;  ///< max depth observed
   };
 
-  double reduce(double value, bool is_max);
+  double reduce(int rank, double value, bool is_max);
+  void throw_if_aborted() const;
 
   int num_ranks_;
   std::vector<Mailbox> boxes_;
@@ -87,13 +92,10 @@ class Cluster {
   CondVar coll_cv_;
   std::uint64_t coll_gen_ SCMD_GUARDED_BY(coll_m_) = 0;
   int coll_count_ SCMD_GUARDED_BY(coll_m_) = 0;
-  double coll_acc_ SCMD_GUARDED_BY(coll_m_) = 0.0;
+  std::vector<double> coll_values_ SCMD_GUARDED_BY(coll_m_);  ///< by rank
   double coll_result_ SCMD_GUARDED_BY(coll_m_) = 0.0;
-  bool coll_started_ SCMD_GUARDED_BY(coll_m_) = false;
 
-  mutable Mutex stats_m_;
-  std::uint64_t total_messages_ SCMD_GUARDED_BY(stats_m_) = 0;
-  std::uint64_t total_bytes_ SCMD_GUARDED_BY(stats_m_) = 0;
+  std::atomic<bool> aborted_{false};
 };
 
 /// One rank's Transport endpoint onto a Cluster.
@@ -120,12 +122,12 @@ class InProcTransport final : public Transport {
     return out;
   }
 
-  void barrier() override { cluster_->barrier(); }
+  void barrier() override { cluster_->barrier(rank_); }
   double allreduce_sum(double v) override {
-    return cluster_->allreduce_sum(v);
+    return cluster_->allreduce_sum(rank_, v);
   }
   double allreduce_max(double v) override {
-    return cluster_->allreduce_max(v);
+    return cluster_->allreduce_max(rank_, v);
   }
 
   TransportStats stats() const override {

@@ -111,12 +111,6 @@ void TelemetryCollector::track_span(int rank, const TraceEvent& e) {
   rs.step_span_ms.push_back(dur_ms);
 }
 
-void TelemetryCollector::observe_events(
-    const std::vector<TraceEvent>& events) {
-  const MutexLock lock(mu_);
-  for (const TraceEvent& e : events) track_span(e.tid, e);
-}
-
 void TelemetryCollector::ingest(const TelemetryFrame& frame) {
   const MutexLock lock(mu_);
   SCMD_REQUIRE(frame.rank >= 0 && frame.rank < config_.num_ranks,

@@ -66,8 +66,10 @@ class TelemetryCollector {
   /// Clock alignment for `rank`: add `offset_us` to its local span
   /// timestamps to land in rank 0's session timebase.  `uncertainty_us`
   /// is the estimator's error bound (half the best round-trip), kept for
-  /// status reporting and tests.  Defaults to 0 for every rank — correct
-  /// for the in-process driver, where all ranks share one session.
+  /// status reporting and tests.  Defaults to 0 for every rank; the
+  /// rank driver sets every peer's offset from its bootstrap estimate,
+  /// in-process and over TCP alike (each rank records into its own
+  /// session, so even threads of one process need one).
   void set_clock(int rank, double offset_us, double uncertainty_us);
   double clock_offset_us(int rank) const;
   double clock_uncertainty_us(int rank) const;
@@ -84,12 +86,6 @@ class TelemetryCollector {
   /// arrive in step order (the transport guarantees this per (src,
   /// tag)); ranks may interleave arbitrarily.
   void ingest(const TelemetryFrame& frame);
-
-  /// Feed phase histograms (and slow-step tracking, lane = event tid)
-  /// from spans that are *already* in the merged session — the
-  /// in-process driver's path, where all ranks record into one session
-  /// directly and re-recording them would duplicate the trace.
-  void observe_events(const std::vector<TraceEvent>& events);
 
   /// Emit the final record if the cadence missed it (the old gather
   /// always emitted the last step) and flag any rank that never

@@ -4,13 +4,15 @@
 #include <thread>
 #include <vector>
 
+#include "support/thread_safety.hpp"
+
 namespace scmd {
 
 void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn) {
   Cluster cluster(num_ranks);
+  Mutex m;
+  std::exception_ptr first;  // guarded by m
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_ranks));
   threads.reserve(static_cast<std::size_t>(num_ranks));
   for (int r = 0; r < num_ranks; ++r) {
     threads.emplace_back([&, r] {
@@ -18,14 +20,18 @@ void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn) {
         Comm comm(cluster, r);
         fn(comm);
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        {
+          MutexLock lk(m);
+          if (!first) first = std::current_exception();
+        }
+        // Wake peers blocked on this rank; their follow-on errors lose
+        // the race above, so the root cause is what propagates.
+        cluster.abort();
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace scmd

@@ -47,8 +47,11 @@ class Comm {
   Transport* transport_;
 };
 
-/// Run `fn` once per rank on its own thread over an in-process cluster;
-/// rethrows the first rank exception after all threads join.
+/// Run `fn` once per rank on its own thread over an in-process cluster.
+/// When a rank throws, the cluster is aborted (Cluster::abort) so no
+/// peer stays blocked on it; after all threads join, the first rank
+/// exception — the root cause, not a peer's follow-on abort — is
+/// rethrown.
 void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn);
 
 }  // namespace scmd

@@ -1,9 +1,7 @@
 #include "parallel/parallel_engine.hpp"
 
 #include <cstdint>
-#include <exception>
 #include <optional>
-#include <thread>
 #include <type_traits>
 
 #include "check/invariant.hpp"
@@ -15,6 +13,7 @@
 #include "net/status_server.hpp"
 #include "obs/collector.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/comm.hpp"
 #include "parallel/rank_engine.hpp"
 #include "support/error.hpp"
 
@@ -29,13 +28,27 @@ struct AtomWire {
 };
 static_assert(std::is_trivially_copyable_v<AtomWire>);
 
-/// Every wire gid must index the destination atom arrays — a malformed
-/// gather/snapshot frame must fail loudly, not scribble out of bounds.
-bool wire_gids_valid(const std::vector<AtomWire>& atoms, std::size_t n) {
+/// Receive one rank's gather frame.  Every wire gid must index the
+/// `num_atoms` destination atoms — a malformed gather/snapshot frame must
+/// fail loudly, not scribble out of bounds.
+std::vector<AtomWire> recv_atoms(Comm& comm, int src, int tag,
+                                 int num_atoms) {
+  std::vector<AtomWire> atoms = unpack<AtomWire>(comm.recv(src, tag));
   for (const AtomWire& a : atoms) {
-    if (a.gid < 0 || static_cast<std::uint64_t>(a.gid) >= n) return false;
+    SCMD_REQUIRE(a.gid >= 0 && a.gid < num_atoms,
+                 "gather frame carries an out-of-range gid");
   }
-  return true;
+  return atoms;
+}
+
+/// Write gathered atoms into `dst` by gid.
+void place(ParticleSystem& dst, const std::vector<AtomWire>& atoms) {
+  for (const AtomWire& a : atoms) {
+    const auto g = static_cast<std::size_t>(a.gid);
+    dst.positions()[g] = a.pos;
+    dst.velocities()[g] = a.vel;
+    dst.forces()[g] = a.force;
+  }
 }
 
 /// Componentwise max over ranks, for load-imbalance analysis.
@@ -61,21 +74,6 @@ void accumulate_max_rank(EngineCounters& max_rank, const EngineCounters& c) {
   maxu(max_rank.messages, c.messages);
   maxu(max_rank.bytes_imported, c.bytes_imported);
   maxu(max_rank.bytes_written_back, c.bytes_written_back);
-}
-
-obs::TelemetryCollector::Config collector_config(
-    int num_ranks, int max_n, bool balancing,
-    const ParallelRunConfig& config, std::size_t num_records,
-    obs::TraceSession* merged_trace) {
-  obs::TelemetryCollector::Config cc;
-  cc.num_ranks = num_ranks;
-  cc.max_n = max_n;
-  cc.balancing = balancing;
-  cc.metrics_every = config.metrics_every;
-  cc.num_records = static_cast<long long>(num_records);
-  cc.metrics = config.metrics;
-  cc.merged_trace = merged_trace;
-  return cc;
 }
 
 }  // namespace
@@ -106,164 +104,26 @@ ParallelRunResult run_parallel_md(ParticleSystem& sys,
                                   const std::string& strategy_name,
                                   const ProcessGrid& pgrid,
                                   const ParallelRunConfig& config) {
-  const Decomposition decomp(sys.box(), pgrid);
-  const auto strategy =
-      make_strategy(strategy_name, field, config.measure_force_set);
-  std::vector<RankState> initial = scatter_atoms(sys, decomp);
-
-  const int P = pgrid.num_ranks();
-  std::vector<EngineCounters> rank_counters(static_cast<std::size_t>(P));
-  std::vector<double> rank_energy(static_cast<std::size_t>(P), 0.0);
-
-  // Per-step per-rank telemetry records for the collector.  Slot s=0 is
-  // the initial force pass; each rank writes only its own column, so no
-  // synchronization is needed beyond the final join.
-  const bool collect_steps = config.metrics != nullptr;
-  const std::size_t num_records =
-      static_cast<std::size_t>(config.num_steps) + 1;
-  std::vector<std::vector<obs::TelemetryStepRecord>> step_records;
-  if (collect_steps) {
-    step_records.assign(
-        num_records,
-        std::vector<obs::TelemetryStepRecord>(static_cast<std::size_t>(P)));
-  }
-
-  // The threads of one process share one session, so the trace is merged
-  // by construction.  Phase histograms are derived from its spans: with
-  // metrics on but no trace requested, an internal session feeds them.
-  obs::TraceSession internal_trace;
-  obs::TraceSession* trace =
-      config.trace != nullptr ? config.trace
-                              : (collect_steps ? &internal_trace : nullptr);
-
-  // Per-step balance outcomes, written by rank 0 only (the balancer's
-  // view is collectively agreed, so one rank's copy is the cluster's).
-  const bool balancing = static_cast<bool>(config.make_balancer);
-  std::vector<BalanceStepInfo> step_balance;
-  if (collect_steps && balancing) step_balance.assign(num_records, {});
-  int rebalances = 0;
-  double last_ratio = 0.0;
-
-  // Gather buffers written by each rank for its own atoms (disjoint gids).
-  const std::size_t N = static_cast<std::size_t>(sys.num_atoms());
-  std::vector<Vec3> out_pos(N), out_vel(N), out_force(N);
-
-  Cluster cluster(P);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(P));
-  threads.reserve(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        // Rank-tagged spans: every SCMD_TRACE below this binding (halo
-        // import, search, write-back, ...) lands on lane tid = r.
-        obs::bind_thread(trace, r);
-        // Invariant-violation reports name the failing rank.
-        check::bind_rank(r);
-        Comm comm(cluster, r);
-        RankEngineConfig rc;
-        rc.dt = config.dt;
-        rc.measure_force_set = config.measure_force_set;
-        rc.collect_cell_costs = balancing;
-        rc.tuple_cache = config.tuple_cache;
-        RankEngine engine(comm, decomp, field, *strategy, rc);
-        std::unique_ptr<RankBalancer> balancer;
-        if (balancing) {
-          balancer = config.make_balancer(r);
-          engine.set_balancer(balancer.get());
-        }
-        engine.set_atoms(std::move(initial[static_cast<std::size_t>(r)]));
-        EngineCounters prev;
-        auto record = [&](std::size_t s) {
-          obs::TelemetryStepRecord& rec =
-              step_records[s][static_cast<std::size_t>(r)];
-          rec.step = static_cast<long long>(s);
-          rec.potential_energy = engine.potential_energy();
-          rec.work = engine.counters().delta_since(prev);
-          rec.transport = comm.transport().stats();
-          prev = engine.counters();
-        };
-        engine.compute_forces();
-        if (collect_steps) record(0);
-        for (int s = 0; s < config.num_steps; ++s) {
-          engine.step();
-          if (balancer && r == 0) {
-            const BalanceStepInfo& info = balancer->last_step();
-            if (info.rebalanced) ++rebalances;
-            if (info.ratio > 0.0) last_ratio = info.ratio;
-            if (collect_steps)
-              step_balance[static_cast<std::size_t>(s) + 1] = info;
-          }
-          if (collect_steps) record(static_cast<std::size_t>(s) + 1);
-        }
-
-        rank_energy[static_cast<std::size_t>(r)] = engine.potential_energy();
-        rank_counters[static_cast<std::size_t>(r)] = engine.counters();
-        const RankState& st = engine.state();
-        const auto f = engine.owned_forces();
-        for (int i = 0; i < st.num_owned(); ++i) {
-          const std::size_t g =
-              static_cast<std::size_t>(st.gid[static_cast<std::size_t>(i)]);
-          out_pos[g] = st.pos[static_cast<std::size_t>(i)];
-          out_vel[g] = st.vel[static_cast<std::size_t>(i)];
-          out_force[g] = f[static_cast<std::size_t>(i)];
-        }
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  // Copy the gathered state back into the system.
-  for (std::size_t i = 0; i < N; ++i) {
-    sys.positions()[i] = out_pos[i];
-    sys.velocities()[i] = out_vel[i];
-    sys.forces()[i] = out_force[i];
-  }
-
+  // Every rank scatters from its own copy of the identical input; rank 0
+  // runs on the caller's system, so the final gather lands there.  The
+  // observability hooks and the WAL are rank 0's, as in a TCP run.
+  const ParticleSystem input = sys;
+  ParallelRunConfig peer_config = config;
+  peer_config.trace = nullptr;
+  peer_config.metrics = nullptr;
+  peer_config.status = nullptr;
+  peer_config.durability.wal = nullptr;
   ParallelRunResult result;
-  for (int r = 0; r < P; ++r) {
-    const EngineCounters& c = rank_counters[static_cast<std::size_t>(r)];
-    result.potential_energy += rank_energy[static_cast<std::size_t>(r)];
-    result.total += c;
-    accumulate_max_rank(result.max_rank, c);
-  }
-  result.runtime_messages = cluster.total_messages();
-  result.runtime_bytes = cluster.total_bytes();
-  result.rebalances = rebalances;
-  result.last_balance_ratio = last_ratio;
-  result.steps_completed = config.num_steps;
-
-  // Replay the per-rank records through the same collector the
-  // distributed driver streams into live: cluster totals, the per-rank
-  // imbalance summary, per-step comm.transport.* deltas, and the
-  // span-derived phase_hist.* channels all come out of one code path.
-  if (collect_steps) {
-    obs::TelemetryCollector collector(collector_config(
-        P, field.max_n(), balancing, config, num_records, nullptr));
-    if (balancing) {
-      for (std::size_t s = 0; s < num_records; ++s) {
-        const BalanceStepInfo& b = step_balance[s];
-        collector.set_balance(static_cast<long long>(s), b.ratio,
-                              b.rebalanced, b.predicted_ratio,
-                              b.migrated_atoms);
-      }
+  run_cluster(pgrid.num_ranks(), [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      result = run_parallel_md_rank(sys, field, strategy_name, pgrid, config,
+                                    comm);
+    } else {
+      ParticleSystem own = input;
+      run_parallel_md_rank(own, field, strategy_name, pgrid, peer_config,
+                           comm);
     }
-    collector.observe_events(trace->events());
-    for (int r = 0; r < P; ++r) {
-      obs::TelemetryFrame frame;
-      frame.rank = r;
-      frame.steps.reserve(num_records);
-      for (std::size_t s = 0; s < num_records; ++s)
-        frame.steps.push_back(step_records[s][static_cast<std::size_t>(r)]);
-      collector.ingest(frame);
-    }
-    collector.finish();
-  }
+  });
   return result;
 }
 
@@ -370,10 +230,14 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
       // Records are 0-based within this attempt; a resumed run tells the
       // collector the global offset so emitted step numbers continue
       // where the pre-failure run left off.
-      obs::TelemetryCollector::Config cc = collector_config(
-          P, field.max_n(), static_cast<bool>(config.make_balancer), config,
-          static_cast<std::size_t>(config.num_steps - start_step) + 1,
-          config.trace);
+      obs::TelemetryCollector::Config cc;
+      cc.num_ranks = P;
+      cc.max_n = field.max_n();
+      cc.balancing = static_cast<bool>(config.make_balancer);
+      cc.metrics_every = config.metrics_every;
+      cc.num_records = config.num_steps - start_step + 1;
+      cc.metrics = config.metrics;
+      cc.merged_trace = config.trace;
       cc.step_offset = start_step;
       cc.recoveries = dur.attempt;
       collector.emplace(cc);
@@ -432,23 +296,20 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
     }
   };
 
-  // Collective snapshot: every rank ships its owned atoms to rank 0,
-  // which assembles the global state by gid onto a copy of `sys` (types
-  // and masses never change) and persists it crash-safely.
-  long long snapshots_written = 0;
+  // This rank's owned atoms, for the snapshot and final gathers.
   auto pack_owned = [&] {
     const RankState& st = engine.state();
     const auto forces = engine.owned_forces();
     std::vector<AtomWire> atoms(static_cast<std::size_t>(st.num_owned()));
-    for (int i = 0; i < st.num_owned(); ++i) {
-      auto& a = atoms[static_cast<std::size_t>(i)];
-      a.gid = st.gid[static_cast<std::size_t>(i)];
-      a.pos = st.pos[static_cast<std::size_t>(i)];
-      a.vel = st.vel[static_cast<std::size_t>(i)];
-      a.force = forces[static_cast<std::size_t>(i)];
-    }
+    for (std::size_t i = 0; i < atoms.size(); ++i)
+      atoms[i] = AtomWire{st.gid[i], st.pos[i], st.vel[i], forces[i]};
     return atoms;
   };
+
+  // Collective snapshot: every rank ships its owned atoms to rank 0,
+  // which assembles the global state by gid onto a copy of `sys` (types
+  // and masses never change) and persists it crash-safely.
+  long long snapshots_written = 0;
   auto snapshot = [&](long long completed_steps) {
     SCMD_TRACE("ckpt.snapshot");
     if (!root) {
@@ -457,20 +318,10 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
     }
     ckpt::CheckpointData data;
     data.system = sys;
-    auto place = [&](const std::vector<AtomWire>& atoms) {
-      for (const AtomWire& a : atoms) {
-        const int g = static_cast<int>(a.gid);
-        data.system.positions()[g] = a.pos;
-        data.system.velocities()[g] = a.vel;
-        data.system.forces()[g] = a.force;
-      }
-    };
-    place(pack_owned());
+    place(data.system, pack_owned());
     for (int r = 1; r < P; ++r) {
-      const auto atoms = unpack<AtomWire>(comm.recv(r, tags::kSnapshotAtoms));
-      SCMD_REQUIRE(wire_gids_valid(atoms, data.system.positions().size()),
-                   "snapshot gather frame carries an out-of-range gid");
-      place(atoms);
+      place(data.system, recv_atoms(comm, r, tags::kSnapshotAtoms,
+                                    data.system.num_atoms()));
     }
     data.clock.step = completed_steps;
     data.clock.total_steps = config.num_steps;
@@ -573,45 +424,20 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
   result.abort_reason = abort_reason;
   result.steps_completed = steps_done;
 
-  // Gather counters and the final atom state to rank 0 on the
-  // registered gather channels (net/tags.hpp).  (Per-step metrics used
-  // to be gathered here too; they now stream live through the telemetry
-  // channel above.)
-
-  const RankState& st = engine.state();
-  const auto forces = engine.owned_forces();
-  std::vector<AtomWire> my_atoms(static_cast<std::size_t>(st.num_owned()));
-  for (int i = 0; i < st.num_owned(); ++i) {
-    auto& a = my_atoms[static_cast<std::size_t>(i)];
-    a.gid = st.gid[static_cast<std::size_t>(i)];
-    a.pos = st.pos[static_cast<std::size_t>(i)];
-    a.vel = st.vel[static_cast<std::size_t>(i)];
-    a.force = forces[static_cast<std::size_t>(i)];
-  }
-
+  // Gather counters, the final atom state and transport statistics to
+  // rank 0 on the registered gather channels (net/tags.hpp).
+  result.total = engine.counters();
   if (root) {
-    result.total = engine.counters();
     accumulate_max_rank(result.max_rank, engine.counters());
     TransportStats agg = comm.transport().stats();
-    auto place = [&](const std::vector<AtomWire>& atoms) {
-      for (const AtomWire& a : atoms) {
-        const int g = static_cast<int>(a.gid);
-        sys.positions()[g] = a.pos;
-        sys.velocities()[g] = a.vel;
-        sys.forces()[g] = a.force;
-      }
-    };
-    place(my_atoms);
+    place(sys, pack_owned());
     for (int r = 1; r < P; ++r) {
       const auto counters =
           unpack<EngineCounters>(comm.recv(r, tags::kGatherCounters));
       SCMD_REQUIRE(counters.size() == 1, "malformed counters gather");
       result.total += counters[0];
       accumulate_max_rank(result.max_rank, counters[0]);
-      const auto atoms = unpack<AtomWire>(comm.recv(r, tags::kGatherState));
-      SCMD_REQUIRE(wire_gids_valid(atoms, sys.positions().size()),
-                   "state gather frame carries an out-of-range gid");
-      place(atoms);
+      place(sys, recv_atoms(comm, r, tags::kGatherState, sys.num_atoms()));
       const auto stats = unpack<TransportStats>(comm.recv(r, tags::kGatherStats));
       SCMD_REQUIRE(stats.size() == 1, "malformed stats gather");
       agg += stats[0];
@@ -619,10 +445,9 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
     result.runtime_messages = agg.messages_sent;
     result.runtime_bytes = agg.bytes_sent;
   } else {
-    result.total = engine.counters();
     comm.send(0, tags::kGatherCounters,
               pack(std::vector<EngineCounters>{engine.counters()}));
-    comm.send(0, tags::kGatherState, pack(my_atoms));
+    comm.send(0, tags::kGatherState, pack(pack_owned()));
     comm.send(0, tags::kGatherStats,
               pack(std::vector<TransportStats>{comm.transport().stats()}));
   }

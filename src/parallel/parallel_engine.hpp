@@ -1,8 +1,11 @@
 #pragma once
 
 /// \file parallel_engine.hpp
-/// Whole-cluster MD driver: scatter a global system onto ranks, run
-/// lock-step MD with real message passing, gather the state back.
+/// Parallel MD driver.  run_parallel_md_rank is the one per-rank program
+/// (scatter a global system, run lock-step MD with real message passing,
+/// gather the state back to rank 0); every parallel run executes it, on
+/// TCP processes, serve workers, or — via run_parallel_md — P threads of
+/// one process.
 ///
 /// This is the correctness vehicle for the parallel algorithms: tests
 /// compare its trajectories, energies, and forces against SerialEngine.
@@ -30,7 +33,7 @@ namespace ckpt {
 class WalWriter;
 }
 
-/// Durability options for the distributed driver (docs/DURABILITY.md).
+/// Durability options for a parallel run (docs/DURABILITY.md).
 /// Collective: every rank must pass identical values.  Only rank 0
 /// touches the checkpoint directory and WAL — peers contribute their
 /// atoms to rank 0's snapshot over reserved tags (src/ckpt) and receive
@@ -64,22 +67,21 @@ struct ParallelRunConfig {
   int num_steps = 0;               ///< steps after the initial force pass
   bool measure_force_set = false;
 
-  /// Optional observability hooks.  `trace` receives rank-tagged phase
-  /// spans (tid = rank); in the distributed driver it is rank 0's
-  /// *merged* session — every rank streams its spans there, clock-aligned
-  /// into rank 0's timebase (one lane per rank).  `metrics` receives one
-  /// record per MD step (emitted every `metrics_every` steps) with
-  /// cluster totals, the per-rank max/avg imbalance summary (Eq. 33
-  /// import volume), per-step comm.transport.* deltas, and log-bucketed
-  /// phase_hist.* latency histograms.  Both null by default — the run
-  /// then pays no instrumentation cost.
+  /// Optional observability hooks.  `trace` is rank 0's *merged*
+  /// session: every rank streams its rank-tagged phase spans there,
+  /// clock-aligned into rank 0's timebase (one lane per rank, tid =
+  /// rank).  `metrics` receives one record per MD step (emitted every
+  /// `metrics_every` steps) with cluster totals, the per-rank max/avg
+  /// imbalance summary (Eq. 33 import volume), per-step comm.transport.*
+  /// deltas, and log-bucketed phase_hist.* latency histograms.  Both
+  /// null by default — the run then pays no instrumentation cost.
   obs::TraceSession* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   int metrics_every = 1;
 
-  /// Live run monitor (distributed driver, honored on rank 0): when set,
-  /// a status snapshot is published after every finalized step for the
-  /// status socket to serve (net/status_server.hpp, tools/scmd_top.py).
+  /// Live run monitor (honored on rank 0): when set, a status snapshot
+  /// is published after every finalized step for the status socket to
+  /// serve (net/status_server.hpp, tools/scmd_top.py).
   StatusServer* status = nullptr;
 
   /// Dynamic load balancing: when set, each rank constructs its balancer
@@ -93,19 +95,19 @@ struct ParallelRunConfig {
   /// collective across ranks.
   TupleCacheConfig tuple_cache;
 
-  /// Checkpoint/restore + WAL (distributed driver only; the in-process
-  /// thread driver ignores it — durability there is the serial driver's
-  /// job).
+  /// Checkpoint/restore + WAL.
   DurabilityConfig durability;
 
-  /// Cooperative early stop (distributed driver only).  When set, every
-  /// rank polls it once per completed step and the cluster takes the
-  /// max over ranks — a non-zero return on *any* rank stops the whole
-  /// run at that step boundary, with the gathered state and telemetry
-  /// reflecting the steps actually completed.  The returned value is
-  /// reported as ParallelRunResult::abort_reason (serve uses 1 =
-  /// cancelled, 2 = walltime cap).  Either every rank sets this or none
-  /// does — the per-step reduction is collective.
+  /// Cooperative early stop.  When set, every rank polls it once per
+  /// completed step and the cluster takes the max over ranks — a non-zero
+  /// return on *any* rank stops the whole run at that step boundary, with
+  /// the gathered state and telemetry reflecting the steps actually
+  /// completed.  The returned value is reported as
+  /// ParallelRunResult::abort_reason (serve uses 1 = cancelled, 2 =
+  /// walltime cap).  Either every rank sets this or none does — the
+  /// per-step reduction is collective.  run_parallel_md hands the same
+  /// callable to every rank thread, so there it is called concurrently
+  /// and must be thread-safe.
   std::function<int()> poll_abort;
 };
 
@@ -114,7 +116,10 @@ struct ParallelRunResult {
   double potential_energy = 0.0;   ///< global, after the last force pass
   EngineCounters total;            ///< summed over ranks
   EngineCounters max_rank;         ///< componentwise max over ranks
-  std::uint64_t runtime_messages = 0;  ///< cluster-wide messages sent
+  /// Cluster-wide messages and bytes sent (rank 0's result), counted up
+  /// to each rank's final stats snapshot: the final gather itself and the
+  /// closing barrier are not included.
+  std::uint64_t runtime_messages = 0;
   std::uint64_t runtime_bytes = 0;
 
   int rebalances = 0;              ///< rebalance events during the run
@@ -132,9 +137,13 @@ struct ParallelRunResult {
   long long steps_completed = 0;   ///< MD steps completed by this run
 };
 
-/// Run `num_steps` of MD on `pgrid.num_ranks()` threads.  On return `sys`
-/// holds the final positions/velocities/forces (gathered by global id).
-/// `strategy_name` is "SC", "FS", or "Hybrid".
+/// Run `num_steps` of MD on `pgrid.num_ranks()` threads of this process
+/// (run_cluster), each calling run_parallel_md_rank on its own copy of
+/// `sys`; rank 0 runs on `sys` itself and receives the hooks in `config`.
+/// On return `sys` holds the final positions/velocities/forces (gathered
+/// by global id) and the result is rank 0's.  A failure on any rank
+/// aborts the cluster and is rethrown.  `strategy_name` is "SC", "FS",
+/// or "Hybrid".
 ParallelRunResult run_parallel_md(ParticleSystem& sys, const ForceField& field,
                                   const std::string& strategy_name,
                                   const ProcessGrid& pgrid,

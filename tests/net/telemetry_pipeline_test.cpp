@@ -2,7 +2,8 @@
 // clock-offset estimation between endpoints with skewed clocks, the
 // 4-rank TCP run whose rank-0 trace is ONE clock-aligned merged
 // timeline (one lane per rank, step spans overlapping across lanes),
-// live per-step metric reduction, and the status socket protocol.
+// live per-step metric reduction, and the status socket protocol (also
+// fed by an in-process run).
 
 #include <gtest/gtest.h>
 
@@ -177,6 +178,28 @@ std::string query_status(int port) {
             static_cast<ssize_t>(len));
   ::close(fd);
   return body;
+}
+
+TEST(TelemetryPipelineTest, InProcessRunPublishesStatus) {
+  // run_parallel_md is the rank driver on threads, so rank 0 publishes
+  // collector snapshots to the status socket as in a TCP run.
+  StatusServer server(0);
+  obs::MetricsRegistry reg;
+  Rng rng(77);
+  ParticleSystem sys = make_silica(1500, 2.2, 350.0, rng);
+  const VashishtaSiO2 field;
+  ParallelRunConfig cfg;
+  cfg.dt = 1.0 * units::kFemtosecond;
+  cfg.num_steps = 3;
+  cfg.metrics = &reg;
+  cfg.status = &server;
+  run_parallel_md(sys, field, "SC", ProcessGrid::factor(2), cfg);
+  const std::string status = query_status(server.port());
+  EXPECT_NE(status.find("\"num_ranks\":2"), std::string::npos) << status;
+  EXPECT_NE(status.find("\"finalized_steps\":4"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("\"finished\":true"), std::string::npos) << status;
+  server.stop();
 }
 
 TEST(StatusServerTest, ServesLatestSnapshotToClients) {

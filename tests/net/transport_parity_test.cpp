@@ -1,6 +1,6 @@
-// The distributed driver (run_parallel_md_rank) must reproduce the
-// serial engine over ANY transport backend to the same tolerance as the
-// threaded driver: positions to 1e-8, forces to 1e-7.  The TCP case runs
+// The rank driver (run_parallel_md_rank) must reproduce the serial
+// engine over ANY transport backend to the same tolerance as the
+// in-process run_parallel_md: positions to 1e-8, forces to 1e-7.  The TCP case runs
 // a real 4-endpoint mesh over loopback (the multi-process equivalent is
 // the app-level tools/launch_tcp.sh parity test).
 
@@ -16,8 +16,8 @@
 #include "engines/serial_engine.hpp"
 #include "md/builders.hpp"
 #include "md/units.hpp"
-#include "net/inproc.hpp"
 #include "net/tcp.hpp"
+#include "parallel/comm.hpp"
 #include "parallel/parallel_engine.hpp"
 #include "potentials/vashishta.hpp"
 #include "support/rng.hpp"
@@ -85,26 +85,13 @@ ParallelRunResult run_rank(Transport& transport, ParticleSystem& sys) {
 TEST(TransportParityTest, RankDriverOverInProcMatchesSerial) {
   const Reference ref = serial_reference();
   const int P = 4;
-  Cluster cluster(P);
   std::vector<ParticleSystem> systems;
   for (int r = 0; r < P; ++r) systems.push_back(build_initial());
   std::vector<ParallelRunResult> results(static_cast<std::size_t>(P));
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        results[static_cast<std::size_t>(r)] =
-            run_rank(cluster.transport(r), systems[static_cast<std::size_t>(r)]);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  run_cluster(P, [&](Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    results[r] = run_rank(comm.transport(), systems[r]);
+  });
   expect_matches_reference(systems[0], results[0], ref);
   // Non-root results still carry the global reduction.
   EXPECT_NEAR(results[2].potential_energy, ref.energy,

@@ -223,7 +223,10 @@ TEST(TelemetryCollectorTest, FeedsPhaseHistogramsFromSpans) {
   other.tid = 0;
   other.ts_us = 0.0;
   other.dur_us = 1.0;
-  col.observe_events({force, other});
+  TelemetryFrame f;
+  f.rank = 0;
+  f.events = {force, other};
+  col.ingest(f);
 
   const auto names = reg.histogram_names();
   ASSERT_EQ(names.size(), 1u);

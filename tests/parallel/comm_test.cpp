@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -110,6 +114,49 @@ TEST(ClusterTest, ExceptionInRankPropagates) {
                              throw Error("rank failure");
                            }),
                Error);
+
+  // With peers blocked on the failed rank — in a receive and in both
+  // kinds of collective — the cluster aborts instead of hanging, and the
+  // failing rank's error (not a peer's follow-on abort) propagates.
+  try {
+    run_cluster(4, [](Comm& comm) {
+      switch (comm.rank()) {
+        case 0:
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          throw Error("rank failure");
+        case 1:
+          comm.recv(0, 1);
+          break;
+        case 2:
+          comm.barrier();
+          break;
+        default:
+          comm.allreduce_max(1.0);
+          break;
+      }
+    });
+    FAIL() << "run_cluster returned despite a failed rank";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank failure"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ClusterTest, AllReduceSumFoldsInRankOrder) {
+  // Order-sensitive addends: the rank-order left fold gives 1, while
+  // e.g. the arrival order 1, 2, 3, 0 gives 0.  Staggered sleeps make
+  // rank 0 arrive last, so an arrival-order sum would be caught.
+  const std::vector<double> values{1e16, 1.0, -1e16, 1.0};
+  double expected = values[0];
+  for (std::size_t r = 1; r < values.size(); ++r) expected += values[r];
+  ASSERT_EQ(expected, 1.0);
+  run_cluster(4, [&](Comm& comm) {
+    const int r = comm.rank();
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(r == 0 ? 80 : 20 * r));
+    EXPECT_EQ(comm.allreduce_sum(values[static_cast<std::size_t>(r)]),
+              expected);
+  });
 }
 
 TEST(ClusterTest, StatsCountMessagesAndBytes) {
@@ -117,8 +164,8 @@ TEST(ClusterTest, StatsCountMessagesAndBytes) {
   Comm c0(cluster, 0);
   c0.send(1, 0, Bytes(16));
   c0.send(1, 0, Bytes(8));
-  EXPECT_EQ(cluster.total_messages(), 2u);
-  EXPECT_EQ(cluster.total_bytes(), 24u);
+  EXPECT_EQ(cluster.transport(0).stats().messages_sent, 2u);
+  EXPECT_EQ(cluster.transport(0).stats().bytes_sent, 24u);
 }
 
 TEST(ClusterTest, MailboxHighWaterTracksBacklog) {

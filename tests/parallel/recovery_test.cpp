@@ -3,16 +3,17 @@
 // the trajectory of an uninterrupted one, and the supervisor must
 // survive an injected fault by replaying from the last snapshot.  (The
 // real process-kill path over TCP is the app-level kill-and-recover
-// test; in-process ranks have no dead-peer detection, so here faults
-// surface as thrown errors.)
+// test; in-process, a fault surfaces as a thrown error that aborts the
+// cluster.)
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "md/builders.hpp"
 #include "md/units.hpp"
 #include "net/inproc.hpp"
+#include "parallel/comm.hpp"
 #include "parallel/parallel_engine.hpp"
 #include "parallel/supervisor.hpp"
 #include "potentials/vashishta.hpp"
@@ -56,32 +58,19 @@ class EnvGuard {
   const char* name_;
 };
 
-/// Run `config` on `ranks` in-process threads of one Cluster; returns
-/// rank 0's gathered system and per-rank results.
-std::vector<ParallelRunResult> run_cluster(
+/// Run `config` on `ranks` in-process rank threads (run_cluster), rank r
+/// on systems[r]; returns every rank's result.
+std::vector<ParallelRunResult> run_ranks(
     std::vector<ParticleSystem>& systems, const ParallelRunConfig& config,
     int ranks) {
   const VashishtaSiO2 field;
-  Cluster cluster(ranks);
   std::vector<ParallelRunResult> results(static_cast<std::size_t>(ranks));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
-  std::vector<std::thread> threads;
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        Comm comm(cluster.transport(r));
-        results[static_cast<std::size_t>(r)] = run_parallel_md_rank(
-            systems[static_cast<std::size_t>(r)], field, "SC",
-            ProcessGrid::factor(ranks), config, comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  run_cluster(ranks, [&](Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    results[r] = run_parallel_md_rank(systems[r], field, "SC",
+                                      ProcessGrid::factor(ranks), config,
+                                      comm);
+  });
   return results;
 }
 
@@ -106,7 +95,7 @@ TEST(RecoveryTest, RestoredRunContinuesTheTrajectory) {
   ParallelRunConfig ref_cfg;
   ref_cfg.dt = kDt;
   ref_cfg.num_steps = 10;
-  run_cluster(ref_systems, ref_cfg, P);
+  run_ranks(ref_systems, ref_cfg, P);
 
   // Interrupted run: 6 steps with snapshots every 3.
   std::vector<ParticleSystem> first_systems;
@@ -115,7 +104,7 @@ TEST(RecoveryTest, RestoredRunContinuesTheTrajectory) {
   first_cfg.num_steps = 6;
   first_cfg.durability.checkpoint_every = 3;
   first_cfg.durability.checkpoint_dir = dir;
-  const auto first = run_cluster(first_systems, first_cfg, P);
+  const auto first = run_ranks(first_systems, first_cfg, P);
   EXPECT_EQ(first[0].snapshots_written, 2);
   EXPECT_EQ(first[0].restored_step, 0);
 
@@ -125,7 +114,7 @@ TEST(RecoveryTest, RestoredRunContinuesTheTrajectory) {
   ParallelRunConfig resumed_cfg = first_cfg;
   resumed_cfg.num_steps = 10;
   resumed_cfg.durability.restore = true;
-  const auto resumed = run_cluster(resumed_systems, resumed_cfg, P);
+  const auto resumed = run_ranks(resumed_systems, resumed_cfg, P);
   EXPECT_EQ(resumed[0].restored_step, 6);
 
   expect_positions_match(resumed_systems[0], ref_systems[0], 5e-8);
@@ -141,7 +130,7 @@ TEST(RecoveryTest, ExplicitRestorePathWinsOverLatest) {
   cfg.num_steps = 4;
   cfg.durability.checkpoint_every = 2;
   cfg.durability.checkpoint_dir = dir;
-  run_cluster(systems, cfg, P);  // snapshots at steps 2 and 4
+  run_ranks(systems, cfg, P);  // snapshots at steps 2 and 4
 
   std::vector<ParticleSystem> resumed{build_initial()};
   ParallelRunConfig rcfg = cfg;
@@ -149,7 +138,7 @@ TEST(RecoveryTest, ExplicitRestorePathWinsOverLatest) {
   rcfg.durability.restore = true;
   rcfg.durability.restore_path =
       ckpt::CheckpointDir(dir, 3).path_for_step(2);
-  const auto results = run_cluster(resumed, rcfg, P);
+  const auto results = run_ranks(resumed, rcfg, P);
   EXPECT_EQ(results[0].restored_step, 2);
   std::filesystem::remove_all(dir);
 }
@@ -164,10 +153,96 @@ TEST(RecoveryTest, RestoreWithEmptyDirStartsFresh) {
   cfg.durability.checkpoint_every = 2;
   cfg.durability.checkpoint_dir = dir;
   cfg.durability.restore = true;  // nothing to restore yet
-  const auto results = run_cluster(systems, cfg, 1);
+  const auto results = run_ranks(systems, cfg, 1);
   EXPECT_EQ(results[0].restored_step, 0);
   EXPECT_GT(results[0].snapshots_written, 0);
   std::filesystem::remove_all(dir);
+}
+
+TEST(RecoveryTest, InProcessDriverSnapshotsAndResumes) {
+  // run_parallel_md is the rank driver on threads, so it honors the same
+  // durability options as a TCP run.
+  const int P = 2;
+  const VashishtaSiO2 field;
+  const std::string dir = fresh_dir("scmd_recovery_inproc");
+  ParallelRunConfig ref_cfg;
+  ref_cfg.dt = kDt;
+  ref_cfg.num_steps = 10;
+  ParticleSystem ref = build_initial();
+  run_parallel_md(ref, field, "SC", ProcessGrid::factor(P), ref_cfg);
+
+  ParallelRunConfig first_cfg = ref_cfg;
+  first_cfg.num_steps = 6;
+  first_cfg.durability.checkpoint_every = 3;
+  first_cfg.durability.checkpoint_dir = dir;
+  ParticleSystem first_sys = build_initial();
+  const ParallelRunResult first = run_parallel_md(
+      first_sys, field, "SC", ProcessGrid::factor(P), first_cfg);
+  EXPECT_EQ(first.snapshots_written, 2);
+  EXPECT_TRUE(std::filesystem::exists(
+      ckpt::CheckpointDir(dir, 3).path_for_step(6)));
+
+  ParallelRunConfig resumed_cfg = first_cfg;
+  resumed_cfg.num_steps = 10;
+  resumed_cfg.durability.restore = true;
+  ParticleSystem resumed = build_initial();
+  const ParallelRunResult res = run_parallel_md(
+      resumed, field, "SC", ProcessGrid::factor(P), resumed_cfg);
+  EXPECT_EQ(res.restored_step, 6);
+  EXPECT_EQ(res.steps_completed, 10);
+  expect_positions_match(resumed, ref, 5e-8);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RecoveryTest, InProcessDriverStopsOnPollAbort) {
+  const int P = 2;
+  const int kStop = 4;
+  const VashishtaSiO2 field;
+  ParallelRunConfig ref_cfg;
+  ref_cfg.dt = kDt;
+  ref_cfg.num_steps = kStop;
+  ParticleSystem ref = build_initial();
+  run_parallel_md(ref, field, "SC", ProcessGrid::factor(P), ref_cfg);
+
+  // Every rank thread polls once per step and the per-step collective
+  // keeps them in lock step, so the (kStop * P)-th poll is the last one
+  // of step kStop.
+  std::atomic<int> polls{0};
+  ParallelRunConfig cfg = ref_cfg;
+  cfg.num_steps = 10;
+  cfg.poll_abort = [&] {
+    return polls.fetch_add(1) + 1 >= kStop * P ? 2 : 0;
+  };
+  ParticleSystem sys = build_initial();
+  const ParallelRunResult res =
+      run_parallel_md(sys, field, "SC", ProcessGrid::factor(P), cfg);
+  EXPECT_EQ(res.abort_reason, 2);
+  EXPECT_EQ(res.steps_completed, kStop);
+  EXPECT_EQ(polls.load(), kStop * P);
+  expect_positions_match(sys, ref, 5e-8);
+}
+
+TEST(RecoveryTest, InProcessDriverFailsOnUncreatableCheckpointDir) {
+  // Only rank 0 touches the checkpoint dir; its failure must abort the
+  // peer blocked in the first collective instead of hanging it.
+  const std::string file = fresh_dir("scmd_recovery_notadir");
+  std::ofstream(file) << "x";
+  const VashishtaSiO2 field;
+  ParticleSystem sys = build_initial();
+  ParallelRunConfig cfg;
+  cfg.dt = kDt;
+  cfg.num_steps = 4;
+  cfg.durability.checkpoint_every = 2;
+  cfg.durability.checkpoint_dir = file + "/ckpt";
+  try {
+    run_parallel_md(sys, field, "SC", ProcessGrid::factor(2), cfg);
+    ADD_FAILURE() << "run_parallel_md accepted an uncreatable checkpoint dir";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot create checkpoint dir"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(file);
 }
 
 /// Single-rank in-process endpoint that owns its Cluster, so the
