@@ -12,13 +12,9 @@
 /// inversion RankBalancer uses); src/parallel adapts its Comm to it, and
 /// a null Channel* means "single rank" everywhere.
 
-#include <cstddef>
-#include <vector>
+#include "support/wire.hpp"
 
 namespace scmd::check {
-
-/// Byte payload moved between ranks during a check.
-using CheckBytes = std::vector<std::byte>;
 
 /// One rank's handle onto the cluster, restricted to what checks need.
 /// All operations are collective-phase safe: checks call them in the
@@ -31,9 +27,9 @@ class Channel {
   virtual int num_ranks() const = 0;
 
   /// Asynchronous point-to-point send on the checker's own tag space.
-  virtual void send(int dst, CheckBytes payload) = 0;
+  virtual void send(int dst, Bytes payload) = 0;
   /// Blocking receive of the next checker message from `src`.
-  virtual CheckBytes recv(int src) = 0;
+  virtual Bytes recv(int src) = 0;
 
   virtual double allreduce_sum(double value) = 0;
   virtual double allreduce_max(double value) = 0;

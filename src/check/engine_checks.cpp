@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
@@ -17,22 +16,6 @@ struct WireAtom {
 };
 static_assert(std::is_trivially_copyable_v<WireAtom>);
 
-template <class T>
-CheckBytes pack_vec(const std::vector<T>& items) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CheckBytes out(items.size() * sizeof(T));
-  if (!items.empty()) std::memcpy(out.data(), items.data(), out.size());
-  return out;
-}
-
-template <class T>
-std::vector<T> unpack_vec(const CheckBytes& bytes) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<T> out(bytes.size() / sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
-}
-
 /// Gather every rank's vector at rank 0 (concatenated in rank order),
 /// then redistribute the concatenation to all ranks.  Single-rank: the
 /// local vector comes straight back.
@@ -44,15 +27,15 @@ std::vector<T> gather_all(Channel* channel, std::vector<T> local) {
   if (rank == 0) {
     std::vector<T> all = std::move(local);
     for (int r = 1; r < num_ranks; ++r) {
-      const std::vector<T> part = unpack_vec<T>(channel->recv(r));
+      const std::vector<T> part = unpack<T>(channel->recv(r));
       all.insert(all.end(), part.begin(), part.end());
     }
-    const CheckBytes payload = pack_vec(all);
+    const Bytes payload = pack(all);
     for (int r = 1; r < num_ranks; ++r) channel->send(r, payload);
     return all;
   }
-  channel->send(0, pack_vec(local));
-  return unpack_vec<T>(channel->recv(0));
+  channel->send(0, pack(local));
+  return unpack<T>(channel->recv(0));
 }
 
 }  // namespace

@@ -22,31 +22,6 @@ std::string section_tag(std::uint32_t id) {
   return tag;
 }
 
-void ByteWriter::append(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::byte*>(data);
-  out_.insert(out_.end(), p, p + size);
-}
-
-void ByteReader::require(std::uint64_t size) const {
-  SCMD_REQUIRE(size <= remaining(),
-               "truncated payload: need " + std::to_string(size) +
-                   " bytes, have " + std::to_string(remaining()));
-}
-
-void ByteReader::copy(void* dst, std::size_t size) {
-  require(size);
-  std::memcpy(dst, bytes_.data() + off_, size);
-  off_ += size;
-}
-
-Bytes ByteReader::take(std::size_t size) {
-  require(size);
-  Bytes out(bytes_.begin() + static_cast<std::ptrdiff_t>(off_),
-            bytes_.begin() + static_cast<std::ptrdiff_t>(off_ + size));
-  off_ += size;
-  return out;
-}
-
 void SectionFile::add(std::uint32_t id, Bytes payload) {
   sections_.push_back({id, std::move(payload)});
 }
@@ -110,8 +85,6 @@ SectionFile SectionFile::decode(const Bytes& bytes) {
   return file;
 }
 
-namespace {
-
 void write_all(int fd, const Bytes& bytes, const std::string& path) {
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -124,6 +97,8 @@ void write_all(int fd, const Bytes& bytes, const std::string& path) {
     off += static_cast<std::size_t>(n);
   }
 }
+
+namespace {
 
 /// fsync the directory containing `path` so the rename itself is durable.
 void sync_parent_dir(const std::string& path) {

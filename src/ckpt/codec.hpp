@@ -30,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/transport.hpp"  // Bytes, pack/unpack
+#include "support/wire.hpp"  // Bytes, ByteWriter, ByteReader
 
 namespace scmd::ckpt {
 
@@ -47,69 +47,6 @@ std::string section_tag(std::uint32_t id);
 
 constexpr std::uint64_t kContainerMagic = 0x53434d445f434b32ULL;  // SCMD_CK2
 constexpr std::uint32_t kContainerVersion = 2;
-
-/// Append-only byte builder for section payloads.
-class ByteWriter {
- public:
-  template <class T>
-  void pod(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    append(&value, sizeof(T));
-  }
-
-  template <class T>
-  void array(const std::vector<T>& items) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    pod(static_cast<std::uint64_t>(items.size()));
-    if (!items.empty()) append(items.data(), items.size() * sizeof(T));
-  }
-
-  void append(const void* data, std::size_t size);
-
-  const Bytes& bytes() const { return out_; }
-  Bytes take() { return std::move(out_); }
-
- private:
-  Bytes out_;
-};
-
-/// Bounds-checked reader over a payload: a short read throws scmd::Error
-/// (truncated section), it never returns partial data.
-class ByteReader {
- public:
-  explicit ByteReader(const Bytes& bytes) : bytes_(bytes) {}
-
-  template <class T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T value;
-    copy(&value, sizeof(T));
-    return value;
-  }
-
-  template <class T>
-  std::vector<T> array() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = pod<std::uint64_t>();
-    require(n * sizeof(T));
-    std::vector<T> items(static_cast<std::size_t>(n));
-    if (n > 0) copy(items.data(), items.size() * sizeof(T));
-    return items;
-  }
-
-  /// Take the next `size` raw bytes.
-  Bytes take(std::size_t size);
-
-  std::size_t remaining() const { return bytes_.size() - off_; }
-  bool done() const { return off_ == bytes_.size(); }
-
- private:
-  void require(std::uint64_t size) const;
-  void copy(void* dst, std::size_t size);
-
-  const Bytes& bytes_;
-  std::size_t off_ = 0;
-};
 
 /// One named section of a container.
 struct Section {
@@ -140,6 +77,10 @@ class SectionFile {
  private:
   std::vector<Section> sections_;
 };
+
+/// Write all of `bytes` to `fd` (retrying short writes); throws
+/// scmd::Error naming `path` on failure.
+void write_all(int fd, const Bytes& bytes, const std::string& path);
 
 /// Write `bytes` to `path` crash-safely: temp file in the same directory,
 /// fsync, rename, directory fsync.  Throws scmd::Error on I/O failure and

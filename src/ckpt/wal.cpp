@@ -14,25 +14,7 @@ namespace scmd::ckpt {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = sizeof(std::uint64_t) +
-                                    sizeof(std::uint32_t);
 constexpr std::size_t kFrameHeaderSize = 3 * sizeof(std::uint32_t);
-
-void write_all(int fd, const void* data, std::size_t size,
-               const std::string& path) {
-  const auto* p = static_cast<const std::byte*>(data);
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, p + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SCMD_REQUIRE(false,
-                   "WAL write failed for " + path + ": " +
-                       std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
 
 /// CRC over (type, length, payload) — the whole frame minus the CRC
 /// field itself, so a corrupted length is as detectable as a corrupted
@@ -48,39 +30,31 @@ std::uint32_t frame_crc(std::uint32_t type, std::uint32_t len,
 
 WalScan scan_wal(const std::string& path) {
   const Bytes bytes = read_file(path);
-  SCMD_REQUIRE(bytes.size() >= kHeaderSize,
+  SCMD_REQUIRE(bytes.size() >= sizeof(kWalMagic) + sizeof(kWalVersion),
                path + " is too short to be a WAL");
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
-  SCMD_REQUIRE(magic == kWalMagic, path + " is not an SC-MD WAL");
-  SCMD_REQUIRE(version == kWalVersion,
+  ByteReader r(bytes);
+  SCMD_REQUIRE(r.pod<std::uint64_t>() == kWalMagic,
+               path + " is not an SC-MD WAL");
+  SCMD_REQUIRE(r.pod<std::uint32_t>() == kWalVersion,
                "unsupported WAL version in " + path);
 
   WalScan scan;
-  std::size_t off = kHeaderSize;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kFrameHeaderSize) break;  // torn header
-    std::uint32_t type = 0, len = 0, want_crc = 0;
-    std::memcpy(&type, bytes.data() + off, sizeof(type));
-    std::memcpy(&len, bytes.data() + off + 4, sizeof(len));
-    std::memcpy(&want_crc, bytes.data() + off + 8, sizeof(want_crc));
-    const std::size_t payload_off = off + kFrameHeaderSize;
-    if (len > bytes.size() - payload_off) break;  // torn payload
-    if (frame_crc(type, len, bytes.data() + payload_off) != want_crc)
+  std::size_t valid = bytes.size() - r.remaining();
+  while (r.remaining() >= kFrameHeaderSize) {  // else a torn header
+    const auto type = r.pod<std::uint32_t>();
+    const auto len = r.pod<std::uint32_t>();
+    const auto want_crc = r.pod<std::uint32_t>();
+    if (len > r.remaining()) break;  // torn payload
+    Bytes payload = r.take(len);
+    if (frame_crc(type, len, payload.data()) != want_crc)
       break;  // bit flip (or a length that happened to fit)
-    WalRecord rec;
-    rec.type = static_cast<WalRecordType>(type);
-    rec.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(payload_off),
-                       bytes.begin() +
-                           static_cast<std::ptrdiff_t>(payload_off + len));
-    scan.records.push_back(std::move(rec));
-    off = payload_off + len;
+    scan.records.push_back(
+        {static_cast<WalRecordType>(type), std::move(payload)});
+    valid = bytes.size() - r.remaining();
   }
-  scan.valid_bytes = off;
-  scan.torn_tail = off < bytes.size();
-  scan.dropped_bytes = bytes.size() - off;
+  scan.valid_bytes = valid;
+  scan.torn_tail = valid < bytes.size();
+  scan.dropped_bytes = bytes.size() - valid;
   return scan;
 }
 
@@ -130,10 +104,10 @@ WalWriter::WalWriter(const std::string& path,
   } else {
     SCMD_REQUIRE(::ftruncate(fd_, 0) == 0,
                  "cannot reset WAL " + path + ": " + std::strerror(errno));
-    std::uint64_t magic = kWalMagic;
-    std::uint32_t version = kWalVersion;
-    write_all(fd_, &magic, sizeof(magic), path_);
-    write_all(fd_, &version, sizeof(version), path_);
+    ByteWriter header;
+    header.pod(kWalMagic);
+    header.pod(kWalVersion);
+    write_all(fd_, header.bytes(), path_);
     SCMD_REQUIRE(::fsync(fd_) == 0,
                  "fsync failed for " + path + ": " + std::strerror(errno));
   }
@@ -157,7 +131,7 @@ void WalWriter::append(WalRecordType type, const Bytes& payload) {
   w.pod(crc);
   w.append(payload.data(), payload.size());
   const Bytes& frame = w.bytes();
-  write_all(fd_, frame.data(), frame.size(), path_);
+  write_all(fd_, frame, path_);
   bytes_written_ += frame.size();
   records_written_ += 1;
   unsynced_ += frame.size();
@@ -165,9 +139,8 @@ void WalWriter::append(WalRecordType type, const Bytes& payload) {
 }
 
 void WalWriter::append(WalRecordType type, const std::string& text) {
-  Bytes payload(text.size());
-  std::memcpy(payload.data(), text.data(), text.size());
-  append(type, payload);
+  const auto* p = reinterpret_cast<const std::byte*>(text.data());
+  append(type, Bytes(p, p + text.size()));
 }
 
 void WalWriter::sync() {

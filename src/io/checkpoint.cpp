@@ -1,8 +1,7 @@
 #include "io/checkpoint.hpp"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -19,46 +18,29 @@ namespace {
 // CRCs and a crash-safe temp-file + atomic-rename write path.
 constexpr std::uint64_t kMagicV1 = 0x53434d445f434b31ULL;  // "SCMD_CK1"
 
-template <class T>
-T read_pod(std::ifstream& in, const std::string& path) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  SCMD_REQUIRE(in.good() && in.gcount() == sizeof(T),
-               path + ": checkpoint truncated mid-field");
-  return value;
-}
-
-ParticleSystem load_v1(std::ifstream& in, const std::string& path) {
-  SCMD_REQUIRE(read_pod<std::uint32_t>(in, path) == 1,
-               "unsupported checkpoint version in " + path);
-  const Vec3 lengths = read_pod<Vec3>(in, path);
-  const auto num_types = read_pod<std::int32_t>(in, path);
-  SCMD_REQUIRE(num_types > 0 && num_types < 1024,
-               "implausible species count in " + path);
-  std::vector<double> masses;
-  masses.reserve(static_cast<std::size_t>(num_types));
-  for (std::int32_t t = 0; t < num_types; ++t)
-    masses.push_back(read_pod<double>(in, path));
-
+ParticleSystem load_v1(ByteReader& r) {
+  SCMD_REQUIRE(r.pod<std::uint32_t>() == 1, "unsupported checkpoint version");
+  const Vec3 lengths = r.pod<Vec3>();
+  const auto num_types = r.pod<std::int32_t>();
+  SCMD_REQUIRE(num_types > 0 && num_types < 1024, "implausible species count");
+  std::vector<double> masses =
+      r.records<double>(static_cast<std::uint64_t>(num_types));
   ParticleSystem sys(Box(lengths), std::move(masses));
-  const auto num_atoms = read_pod<std::int64_t>(in, path);
-  SCMD_REQUIRE(num_atoms >= 0, "negative atom count in " + path);
+  const auto num_atoms = r.pod<std::int64_t>();
+  SCMD_REQUIRE(num_atoms >= 0, "negative atom count");
   for (std::int64_t i = 0; i < num_atoms; ++i) {
-    const Vec3 pos = read_pod<Vec3>(in, path);
-    const Vec3 vel = read_pod<Vec3>(in, path);
-    const Vec3 force = read_pod<Vec3>(in, path);
-    const auto type = read_pod<std::int32_t>(in, path);
-    SCMD_REQUIRE(type >= 0 && type < sys.num_types(),
-                 "atom type out of range in " + path);
+    const Vec3 pos = r.pod<Vec3>();
+    const Vec3 vel = r.pod<Vec3>();
+    const Vec3 force = r.pod<Vec3>();
+    const auto type = r.pod<std::int32_t>();
+    SCMD_REQUIRE(type >= 0 && type < sys.num_types(), "atom type out of range");
     const int id = sys.add_atom(pos, vel, type);
     sys.forces()[id] = force;
   }
   // A v1 file is exactly header + atoms; trailing bytes mean the file
   // was appended to or corrupted, and silently ignoring them would mask
   // that.
-  in.peek();
-  SCMD_REQUIRE(in.eof(), path + ": trailing bytes after checkpoint data");
+  SCMD_REQUIRE(r.done(), "trailing bytes after checkpoint data");
   return sys;
 }
 
@@ -71,14 +53,16 @@ void save_checkpoint(const ParticleSystem& sys, const std::string& path) {
 }
 
 ParticleSystem load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SCMD_REQUIRE(in.good(), "cannot open " + path + " for reading");
-  const auto magic = read_pod<std::uint64_t>(in, path);
-  if (magic == kMagicV1) return load_v1(in, path);
-  in.close();
-  SCMD_REQUIRE(magic == ckpt::kContainerMagic,
-               path + " is not an SC-MD checkpoint");
-  return ckpt::read_checkpoint(path).system;
+  const Bytes bytes = ckpt::read_file(path);
+  try {
+    ByteReader r(bytes);
+    const auto magic = r.pod<std::uint64_t>();
+    if (magic == kMagicV1) return load_v1(r);
+    SCMD_REQUIRE(magic == ckpt::kContainerMagic, "not an SC-MD checkpoint");
+    return ckpt::decode_checkpoint(bytes).system;
+  } catch (const Error& e) {
+    throw Error(path + ": " + e.what());
+  }
 }
 
 }  // namespace scmd

@@ -1,14 +1,10 @@
 #include "net/status_server.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
 
 #include "net/tcp.hpp"
 #include "support/error.hpp"
@@ -20,34 +16,6 @@ namespace {
 /// A status request larger than this is a confused client, not a
 /// request.
 constexpr std::uint32_t kMaxRequestBytes = 1 << 16;
-
-bool write_full(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_full(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -77,6 +45,7 @@ void StatusServer::accept_loop() {
     if (rc <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    set_nodelay(fd);
     const MutexLock lock(conn_mu_);
     if (!running_.load()) {
       ::close(fd);
@@ -89,22 +58,22 @@ void StatusServer::accept_loop() {
 
 void StatusServer::serve(int fd) {
   while (running_.load()) {
-    std::uint32_t len = 0;
-    if (!read_full(fd, &len, sizeof(len))) break;
-    if (len > kMaxRequestBytes) break;
-    std::string request(len, '\0');
-    if (len > 0 && !read_full(fd, request.data(), len)) break;
-
+    Bytes request;
+    try {
+      if (!recv_frame(fd, &request, kMaxRequestBytes)) break;
+    } catch (const Error&) {
+      break;  // oversized request: a confused client, drop it
+    }
+    std::string channel(reinterpret_cast<const char*>(request.data()),
+                        request.size());
+    if (channel.empty()) channel = "status";
     std::string reply = "{}";
     {
-      const std::string channel = request.empty() ? "status" : request;
       const MutexLock lock(snapshot_mu_);
       const auto it = snapshots_.find(channel);
       if (it != snapshots_.end()) reply = it->second;
     }
-    const auto reply_len = static_cast<std::uint32_t>(reply.size());
-    if (!write_full(fd, &reply_len, sizeof(reply_len))) break;
-    if (!write_full(fd, reply.data(), reply.size())) break;
+    if (!send_frame(fd, reply.data(), reply.size())) break;
   }
   ::close(fd);
 }

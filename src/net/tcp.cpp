@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "net/tags.hpp"
 #include "support/error.hpp"
@@ -38,6 +40,9 @@ constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 32;
 /// Wire header of every mesh frame: u32 tag, u64 payload length.
 constexpr std::size_t kHeaderBytes = 12;
 
+/// Sanity bound on a rendezvous message (a P-entry address table).
+constexpr std::uint32_t kMaxRendezvousBytes = 1u << 20;
+
 std::string errno_str() { return std::strerror(errno); }
 
 std::uint64_t elapsed_ns(SteadyClock::time_point t0) {
@@ -45,50 +50,6 @@ std::uint64_t elapsed_ns(SteadyClock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           SteadyClock::now() - t0)
           .count());
-}
-
-/// Write exactly `size` bytes; returns false on a connection error.
-bool write_full(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Read exactly `size` bytes; returns false on EOF or error.
-bool read_full(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void encode_header(char (&buf)[kHeaderBytes], int tag, std::uint64_t len) {
-  const auto utag = static_cast<std::uint32_t>(tag);
-  std::memcpy(buf, &utag, 4);
-  std::memcpy(buf + 4, &len, 8);
-}
-
-void decode_header(const char (&buf)[kHeaderBytes], int& tag,
-                   std::uint64_t& len) {
-  std::uint32_t utag = 0;
-  std::memcpy(&utag, buf, 4);
-  std::memcpy(&len, buf + 4, 8);
-  tag = static_cast<int>(utag);
 }
 
 sockaddr_in resolve(const std::string& host, int port) {
@@ -110,11 +71,6 @@ sockaddr_in resolve(const std::string& host, int port) {
   addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
   ::freeaddrinfo(res);
   return addr;
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// Dial host:port, retrying with exponential backoff until `deadline`.
@@ -161,27 +117,84 @@ int accept_with_deadline(int listen_fd, SteadyClock::time_point deadline) {
   }
 }
 
-void write_u32(std::vector<char>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
-}
-
-std::uint32_t read_u32_fd(int fd, const char* what) {
-  std::uint32_t v = 0;
-  SCMD_REQUIRE(read_full(fd, &v, 4),
-               std::string("connection dropped while reading ") + what);
-  return v;
-}
-
-std::string read_string_fd(int fd, std::size_t len) {
-  std::string s(len, '\0');
-  SCMD_REQUIRE(len == 0 || read_full(fd, s.data(), len),
-               "connection dropped while reading an address string");
-  return s;
+/// One rendezvous message (an announcement or the address table), sent
+/// as one u32-length-prefixed frame.
+Bytes recv_rendezvous(int fd, const char* what) {
+  Bytes msg;
+  SCMD_REQUIRE(recv_frame(fd, &msg, kMaxRendezvousBytes),
+               std::string("rendezvous: connection dropped while reading ") +
+                   what);
+  return msg;
 }
 
 }  // namespace
+
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+bool send_all(int fd, const void* head, std::size_t head_size,
+              const void* body, std::size_t body_size) {
+  iovec iov[2] = {{const_cast<void*>(head), head_size},
+                  {const_cast<void*>(body), body_size}};
+  iovec* next = iov;
+  std::size_t count = body_size > 0 ? 2 : 1;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Skip what the kernel took; resume mid-iovec after a short write.
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
+  }
+  return true;
+}
+
+bool recv_all(int fd, void* data, std::size_t size) {
+  char* p = static_cast<char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::recv(fd, p, size, 0);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool send_frame(int fd, const void* data, std::size_t size) {
+  SCMD_REQUIRE(size <= std::numeric_limits<std::uint32_t>::max(),
+               "frame of " + std::to_string(size) +
+                   " bytes overflows its u32 length prefix");
+  const auto len = static_cast<std::uint32_t>(size);
+  return send_all(fd, &len, sizeof(len), data, size);
+}
+
+bool recv_frame(int fd, Bytes* payload, std::uint32_t max_bytes) {
+  std::uint32_t len = 0;
+  if (!recv_all(fd, &len, sizeof(len))) return false;
+  SCMD_REQUIRE(len <= max_bytes,
+               "frame announces " + std::to_string(len) + " bytes (limit " +
+                   std::to_string(max_bytes) + ") — protocol violation");
+  payload->resize(len);
+  return recv_all(fd, payload->data(), len);
+}
 
 std::pair<int, int> bind_listener(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -264,26 +277,26 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
       for (int i = 0; i < P - 1; ++i) {
         const int fd = accept_with_deadline(rfd, deadline);
         conns.push_back(fd);
-        const auto r = static_cast<int>(read_u32_fd(fd, "a rendezvous rank"));
+        const Bytes hello = recv_rendezvous(fd, "an announcement");
+        ByteReader in(hello);
+        const auto r = static_cast<int>(in.pod<std::uint32_t>());
         SCMD_REQUIRE(r > 0 && r < P && ports[static_cast<std::size_t>(r)] == 0,
                      "rendezvous: invalid or duplicate rank " +
                          std::to_string(r));
         ports[static_cast<std::size_t>(r)] =
-            static_cast<int>(read_u32_fd(fd, "a rendezvous port"));
-        hosts[static_cast<std::size_t>(r)] = read_string_fd(
-            fd, read_u32_fd(fd, "a rendezvous host length"));
+            static_cast<int>(in.pod<std::uint32_t>());
+        hosts[static_cast<std::size_t>(r)] = in.string();
       }
       // Broadcast the completed address table.
-      std::vector<char> table;
+      ByteWriter w;
       for (int r = 0; r < P; ++r) {
-        write_u32(table,
-                  static_cast<std::uint32_t>(ports[static_cast<std::size_t>(r)]));
-        const std::string& h = hosts[static_cast<std::size_t>(r)];
-        write_u32(table, static_cast<std::uint32_t>(h.size()));
-        table.insert(table.end(), h.begin(), h.end());
+        const auto at = static_cast<std::size_t>(r);
+        w.pod(static_cast<std::uint32_t>(ports[at]));
+        w.string(hosts[at]);
       }
+      const Bytes& table = w.bytes();
       for (const int fd : conns)
-        SCMD_REQUIRE(write_full(fd, table.data(), table.size()),
+        SCMD_REQUIRE(send_frame(fd, table.data(), table.size()),
                      "rendezvous: failed to send the address table");
     } catch (...) {
       for (const int fd : conns) ::close(fd);
@@ -298,19 +311,18 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
   const int fd = connect_with_retry(config_.rendezvous_host,
                                     config_.rendezvous_port, deadline);
   try {
-    std::vector<char> hello;
-    write_u32(hello, static_cast<std::uint32_t>(config_.rank));
-    write_u32(hello, static_cast<std::uint32_t>(listen_port));
-    write_u32(hello, static_cast<std::uint32_t>(config_.advertise_host.size()));
-    hello.insert(hello.end(), config_.advertise_host.begin(),
-                 config_.advertise_host.end());
-    SCMD_REQUIRE(write_full(fd, hello.data(), hello.size()),
+    ByteWriter hello;
+    hello.pod(static_cast<std::uint32_t>(config_.rank));
+    hello.pod(static_cast<std::uint32_t>(listen_port));
+    hello.string(config_.advertise_host);
+    SCMD_REQUIRE(send_frame(fd, hello.bytes().data(), hello.bytes().size()),
                  "rendezvous: failed to announce to rank 0");
+    const Bytes table = recv_rendezvous(fd, "the address table");
+    ByteReader in(table);
     for (int r = 0; r < P; ++r) {
       ports[static_cast<std::size_t>(r)] =
-          static_cast<int>(read_u32_fd(fd, "the address table"));
-      hosts[static_cast<std::size_t>(r)] =
-          read_string_fd(fd, read_u32_fd(fd, "the address table"));
+          static_cast<int>(in.pod<std::uint32_t>());
+      hosts[static_cast<std::size_t>(r)] = in.string();
     }
   } catch (...) {
     ::close(fd);
@@ -333,7 +345,7 @@ void TcpTransport::connect_mesh(int listen_fd,
                                       ports[static_cast<std::size_t>(r)],
                                       deadline);
     const auto me = static_cast<std::uint32_t>(config_.rank);
-    SCMD_REQUIRE(write_full(fd, &me, 4), "mesh handshake send failed");
+    SCMD_REQUIRE(send_all(fd, &me, sizeof(me)), "mesh handshake send failed");
     auto peer = std::make_unique<Peer>();
     peer->fd = fd;
     peers_[static_cast<std::size_t>(r)] = std::move(peer);
@@ -341,7 +353,10 @@ void TcpTransport::connect_mesh(int listen_fd,
   // Accept one connection from every lower rank.
   for (int i = 0; i < config_.rank; ++i) {
     const int fd = accept_with_deadline(listen_fd, deadline);
-    const auto r = static_cast<int>(read_u32_fd(fd, "a mesh handshake"));
+    std::uint32_t from = 0;
+    SCMD_REQUIRE(recv_all(fd, &from, sizeof(from)),
+                 "connection dropped while reading a mesh handshake");
+    const auto r = static_cast<int>(from);
     SCMD_REQUIRE(r >= 0 && r < config_.rank &&
                      peers_[static_cast<std::size_t>(r)] == nullptr,
                  "mesh handshake: invalid or duplicate rank " +
@@ -395,14 +410,14 @@ void TcpTransport::mark_peer_dead(int src) {
 void TcpTransport::reader_loop(int src) {
   const int fd = peers_[static_cast<std::size_t>(src)]->fd;
   for (;;) {
-    char header[kHeaderBytes];
-    if (!read_full(fd, header, sizeof(header))) break;
-    int tag = 0;
-    std::uint64_t len = 0;
-    decode_header(header, tag, len);
+    Bytes header(kHeaderBytes);
+    if (!recv_all(fd, header.data(), header.size())) break;
+    ByteReader in(header);
+    const auto tag = static_cast<int>(in.pod<std::uint32_t>());
+    const auto len = in.pod<std::uint64_t>();
     if (len > kMaxFrameBytes) break;  // corrupt header; drop the peer
     Bytes payload(len);
-    if (len > 0 && !read_full(fd, payload.data(), len)) break;
+    if (!recv_all(fd, payload.data(), payload.size())) break;
     deposit(src, tag, std::move(payload));
   }
   mark_peer_dead(src);
@@ -422,11 +437,11 @@ void TcpTransport::writer_loop(int dst) {
     auto [tag, payload] = std::move(peer.outbox.front());
     peer.outbox.pop_front();
     lk.unlock();
-    char header[kHeaderBytes];
-    encode_header(header, tag, payload.size());
-    const bool ok = write_full(peer.fd, header, sizeof(header)) &&
-                    (payload.empty() ||
-                     write_full(peer.fd, payload.data(), payload.size()));
+    ByteWriter header;
+    header.pod(static_cast<std::uint32_t>(tag));
+    header.pod(static_cast<std::uint64_t>(payload.size()));
+    const bool ok = send_all(peer.fd, header.bytes().data(), kHeaderBytes,
+                             payload.data(), payload.size());
     if (!ok) {
       mark_peer_dead(dst);
       return;

@@ -74,6 +74,31 @@ struct TcpConfig {
 /// return {fd, bound port}.  Throws scmd::Error on failure.
 std::pair<int, int> bind_listener(const std::string& host, int port);
 
+// The socket I/O under every SC-MD stream protocol: the TCP mesh, the
+// status socket and the service session protocol.
+
+/// Disable Nagle's algorithm.  Every protocol here is request/reply or
+/// writes whole frames, so coalescing only adds delayed-ACK stalls.
+void set_nodelay(int fd);
+
+/// Write all of `head`, then all of `body`, with one sendmsg of two
+/// iovecs (resumed after a short write), so a small frame leaves as one
+/// segment.  False on a broken connection; never raises SIGPIPE.
+bool send_all(int fd, const void* head, std::size_t head_size,
+              const void* body = nullptr, std::size_t body_size = 0);
+
+/// Read exactly `size` bytes; false on EOF or a connection error.
+bool recv_all(int fd, void* data, std::size_t size);
+
+/// Write one frame: u32-LE payload length, then the payload, sent
+/// together through send_all.  False on a broken connection.
+bool send_frame(int fd, const void* data, std::size_t size);
+
+/// Read one frame written by send_frame.  False on EOF or a connection
+/// error; throws scmd::Error when the prefix announces more than
+/// `max_bytes` (the stream cannot be resynchronized after that).
+bool recv_frame(int fd, Bytes* payload, std::uint32_t max_bytes);
+
 /// One rank of a TCP cluster.  The constructor performs the full
 /// bootstrap and blocks until the mesh is connected; the destructor
 /// flushes pending sends, then tears the connections down.

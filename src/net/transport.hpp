@@ -28,44 +28,11 @@
 /// Migrator, the balancer protocol, and check::Channel run unchanged on
 /// either backend (docs/TRANSPORT.md).
 
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string>
-#include <type_traits>
-#include <vector>
 
-#include "support/error.hpp"
+#include "support/wire.hpp"  // Bytes, pack/unpack
 
 namespace scmd {
-
-/// Payload type for messages.
-using Bytes = std::vector<std::byte>;
-
-/// Pack a trivially copyable array into a byte payload.
-template <class T>
-Bytes pack(const std::vector<T>& items) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  Bytes out(items.size() * sizeof(T));
-  if (!items.empty()) std::memcpy(out.data(), items.data(), out.size());
-  return out;
-}
-
-/// Unpack a byte payload produced by pack<T>.  A payload whose size is
-/// not a whole number of T records cannot have come from pack<T> —
-/// truncating it would silently drop the trailing bytes of a corrupt or
-/// mis-tagged message, so it throws instead.
-template <class T>
-std::vector<T> unpack(const Bytes& bytes) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  SCMD_REQUIRE(bytes.size() % sizeof(T) == 0,
-               "unpack: payload of " + std::to_string(bytes.size()) +
-                   " bytes is not a whole number of " +
-                   std::to_string(sizeof(T)) + "-byte records");
-  std::vector<T> out(bytes.size() / sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
-}
 
 /// Cumulative per-rank transport statistics.  Sent counts are recorded
 /// when the message is accepted (enqueue), received counts when it is

@@ -1,8 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <cstring>
-#include <limits>
-
 #include "support/error.hpp"
 
 namespace scmd::obs {
@@ -15,113 +12,48 @@ constexpr std::uint32_t kVersion = 1;
 static_assert(std::is_trivially_copyable_v<TelemetryStepRecord>,
               "step records are shipped as raw bytes");
 
-/// Append-only byte writer over a Bytes buffer.
-class Writer {
- public:
-  explicit Writer(Bytes& out) : out_(out) {}
-
-  template <class T>
-  void put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t at = out_.size();
-    out_.resize(at + sizeof(T));
-    std::memcpy(out_.data() + at, &v, sizeof(T));
-  }
-
-  void put_bytes(const void* data, std::size_t n) {
-    const std::size_t at = out_.size();
-    out_.resize(at + n);
-    if (n != 0) std::memcpy(out_.data() + at, data, n);
-  }
-
- private:
-  Bytes& out_;
-};
-
-/// Bounds-checked byte reader; every overrun is an Error, never UB.
-class Reader {
- public:
-  explicit Reader(const Bytes& in) : in_(in) {}
-
-  template <class T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    std::memcpy(&v, need(sizeof(T)), sizeof(T));
-    return v;
-  }
-
-  std::string get_string(std::size_t n) {
-    const std::byte* p = need(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-
-  bool done() const { return at_ == in_.size(); }
-
- private:
-  const std::byte* need(std::size_t n) {
-    SCMD_REQUIRE(n <= in_.size() - at_,
-                 "telemetry frame truncated: need " + std::to_string(n) +
-                     " bytes at offset " + std::to_string(at_) + " of " +
-                     std::to_string(in_.size()));
-    const std::byte* p = in_.data() + at_;
-    at_ += n;
-    return p;
-  }
-
-  const Bytes& in_;
-  std::size_t at_ = 0;
-};
+/// Smallest encoded event: u16 name length, empty name, two f64.
+constexpr std::size_t kMinEventBytes =
+    sizeof(std::uint16_t) + 2 * sizeof(double);
 
 }  // namespace
 
 Bytes encode_frame(const TelemetryFrame& frame) {
-  Bytes out;
-  Writer w(out);
-  w.put(kMagic);
-  w.put(kVersion);
-  w.put(static_cast<std::int32_t>(frame.rank));
-  w.put(static_cast<std::uint32_t>(frame.steps.size()));
-  w.put_bytes(frame.steps.data(),
-              frame.steps.size() * sizeof(TelemetryStepRecord));
-  w.put(static_cast<std::uint32_t>(frame.events.size()));
+  ByteWriter w;
+  w.pod(kMagic);
+  w.pod(kVersion);
+  w.pod(static_cast<std::int32_t>(frame.rank));
+  w.pod(static_cast<std::uint32_t>(frame.steps.size()));
+  w.records(frame.steps);
+  w.pod(static_cast<std::uint32_t>(frame.events.size()));
   for (const TraceEvent& e : frame.events) {
-    SCMD_REQUIRE(e.name.size() <= std::numeric_limits<std::uint16_t>::max(),
-                 "telemetry frame: span name too long: " + e.name);
-    w.put(static_cast<std::uint16_t>(e.name.size()));
-    w.put_bytes(e.name.data(), e.name.size());
-    w.put(e.ts_us);
-    w.put(e.dur_us);
+    w.string<std::uint16_t>(e.name);
+    w.pod(e.ts_us);
+    w.pod(e.dur_us);
   }
-  return out;
+  return w.take();
 }
 
 TelemetryFrame decode_frame(const Bytes& bytes) {
-  Reader r(bytes);
-  const auto magic = r.get<std::uint32_t>();
-  SCMD_REQUIRE(magic == kMagic, "telemetry frame: bad magic");
-  const auto version = r.get<std::uint32_t>();
+  ByteReader r(bytes);
+  SCMD_REQUIRE(r.pod<std::uint32_t>() == kMagic, "telemetry frame: bad magic");
+  const auto version = r.pod<std::uint32_t>();
   SCMD_REQUIRE(version == kVersion,
                "telemetry frame: unsupported version " +
                    std::to_string(version));
 
   TelemetryFrame frame;
-  frame.rank = r.get<std::int32_t>();
+  frame.rank = r.pod<std::int32_t>();
+  frame.steps = r.records<TelemetryStepRecord>(r.pod<std::uint32_t>());
 
-  const auto num_steps = r.get<std::uint32_t>();
-  frame.steps.resize(num_steps);
-  for (std::uint32_t i = 0; i < num_steps; ++i) {
-    frame.steps[i] = r.get<TelemetryStepRecord>();
-  }
-
-  const auto num_events = r.get<std::uint32_t>();
+  const std::size_t num_events =
+      r.count(r.pod<std::uint32_t>(), kMinEventBytes);
   frame.events.reserve(num_events);
-  for (std::uint32_t i = 0; i < num_events; ++i) {
+  for (std::size_t i = 0; i < num_events; ++i) {
     TraceEvent e;
-    const auto name_len = r.get<std::uint16_t>();
-    e.name = r.get_string(name_len);
-    e.ts_us = r.get<double>();
-    e.dur_us = r.get<double>();
+    e.name = r.string<std::uint16_t>();
+    e.ts_us = r.pod<double>();
+    e.dur_us = r.pod<double>();
     frame.events.push_back(std::move(e));
   }
   SCMD_REQUIRE(r.done(), "telemetry frame: trailing bytes");

@@ -22,10 +22,10 @@ class CommCheckChannel final : public check::Channel {
   int rank() const override { return comm_->rank(); }
   int num_ranks() const override { return comm_->num_ranks(); }
 
-  void send(int dst, check::CheckBytes payload) override {
+  void send(int dst, Bytes payload) override {
     comm_->send(dst, tags::kCheck, std::move(payload));
   }
-  check::CheckBytes recv(int src) override {
+  Bytes recv(int src) override {
     return comm_->recv(src, tags::kCheck);
   }
 

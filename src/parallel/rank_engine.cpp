@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -414,19 +413,14 @@ void RankEngine::compute_forces_replay() {
     std::vector<Vec3> fresh_all;
     double fresh_e = 0.0;
     if (ch.rank() != 0) {
-      check::CheckBytes bytes(atoms.size() * sizeof(ParityAtom));
-      if (!bytes.empty())
-        std::memcpy(bytes.data(), atoms.data(), bytes.size());
-      ch.send(0, std::move(bytes));
+      ch.send(0, pack(atoms));
     } else {
       for (int r = 1; r < ch.num_ranks(); ++r) {
-        const check::CheckBytes bytes = ch.recv(r);
-        const std::size_t count = bytes.size() / sizeof(ParityAtom);
-        const std::size_t base = atoms.size();
-        atoms.resize(base + count);
-        if (count != 0)
-          std::memcpy(atoms.data() + base, bytes.data(),
-                      count * sizeof(ParityAtom));
+        const std::vector<ParityAtom> part = unpack<ParityAtom>(ch.recv(r));
+        for (const ParityAtom& a : part)
+          SCMD_REQUIRE(a.type >= 0 && a.type < field_.num_types(),
+                       "parity gather carries an unknown species");
+        atoms.insert(atoms.end(), part.begin(), part.end());
       }
       // Deterministic order (and a dense index space for the serial
       // domain, whose gids are indices into the position array).
@@ -444,7 +438,7 @@ void RankEngine::compute_forces_replay() {
         replay_all[i] = Vec3(atoms[i].fx, atoms[i].fy, atoms[i].fz);
       }
       DomainSet domains;
-      ForceAccum accum;
+      ForceAccum fresh_accum;
       std::array<CellDomain, kMaxTupleLen + 1> dom_storage;
       std::array<std::vector<Vec3>, kMaxTupleLen + 1> f_storage;
       for (int n = 2; n <= field_.max_n(); ++n) {
@@ -455,13 +449,14 @@ void RankEngine::compute_forces_replay() {
         f_storage[ni].assign(
             static_cast<std::size_t>(dom_storage[ni].num_atoms()), Vec3{});
         domains.dom[ni] = &dom_storage[ni];
-        accum.f[ni] = &f_storage[ni];
+        fresh_accum.f[ni] = &f_storage[ni];
       }
-      fresh_e = strategy_.compute(field_, domains, accum, scratch_counters);
+      fresh_e = strategy_.compute(field_, domains, fresh_accum,
+                                  scratch_counters);
       fresh_all.assign(total, Vec3{});
       for (int n = 2; n <= field_.max_n(); ++n) {
         const std::size_t ni = static_cast<std::size_t>(n);
-        if (accum.f[ni] == nullptr) continue;
+        if (fresh_accum.f[ni] == nullptr) continue;
         const auto gids = dom_storage[ni].gids();
         const std::vector<Vec3>& f = f_storage[ni];
         for (std::size_t a = 0; a < f.size(); ++a)

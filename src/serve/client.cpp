@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "net/tcp.hpp"
 #include "support/error.hpp"
 
 namespace scmd::serve {
@@ -34,6 +35,7 @@ int connect_to(const std::string& host, int port) {
   SCMD_REQUIRE(fd >= 0, "cannot connect to " + host + ":" +
                             std::to_string(port) +
                             " — is the daemon running?");
+  set_nodelay(fd);
   return fd;
 }
 

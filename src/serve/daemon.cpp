@@ -405,6 +405,7 @@ void ServeDaemon::accept_loop() {
     if (rc <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    set_nodelay(fd);
     const MutexLock lock(conn_mu_);
     if (!running_.load()) {
       ::close(fd);

@@ -1,40 +1,15 @@
 #include "serve/protocol.hpp"
 
-#include <sys/socket.h>
-
-#include <cerrno>
-#include <cstring>
-
+#include "net/tcp.hpp"
 #include "support/error.hpp"
 
 namespace scmd::serve {
 
 namespace {
 
-void put_string(ckpt::ByteWriter& w, const std::string& s) {
-  w.pod(static_cast<std::uint32_t>(s.size()));
-  if (!s.empty()) w.append(s.data(), s.size());
-}
-
-std::string get_string(ckpt::ByteReader& r) {
-  const auto n = r.pod<std::uint32_t>();
-  const Bytes raw = r.take(n);
-  return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
-}
-
-void put_bytes(ckpt::ByteWriter& w, const Bytes& b) {
-  w.pod(static_cast<std::uint64_t>(b.size()));
-  if (!b.empty()) w.append(b.data(), b.size());
-}
-
-Bytes get_bytes(ckpt::ByteReader& r) {
-  const auto n = r.pod<std::uint64_t>();
-  return r.take(static_cast<std::size_t>(n));
-}
-
 /// Decode must consume the whole body: trailing bytes mean a mis-framed
 /// or tampered message, not a longer schema.
-void require_done(const ckpt::ByteReader& r, const char* what) {
+void require_done(const ByteReader& r, const char* what) {
   SCMD_REQUIRE(r.done(), std::string("service frame has trailing bytes: ") + what);
 }
 
@@ -57,7 +32,7 @@ bool job_state_terminal(JobState s) {
 }
 
 Bytes encode_frame(MsgType type, const Bytes& body) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(kFrameMagic);
   w.pod(static_cast<std::uint16_t>(type));
   if (!body.empty()) w.append(body.data(), body.size());
@@ -65,7 +40,7 @@ Bytes encode_frame(MsgType type, const Bytes& body) {
 }
 
 Frame decode_frame(const Bytes& payload) {
-  ckpt::ByteReader r(payload);
+  ByteReader r(payload);
   const auto magic = r.pod<std::uint32_t>();
   SCMD_REQUIRE(magic == kFrameMagic,
                "service frame carries the wrong magic (not a service "
@@ -82,8 +57,8 @@ Frame decode_frame(const Bytes& payload) {
 }
 
 Bytes encode_submit(const SubmitRequest& req) {
-  ckpt::ByteWriter w;
-  put_string(w, req.config_text);
+  ByteWriter w;
+  w.string(req.config_text);
   w.pod(req.priority);
   w.pod(static_cast<std::uint8_t>(req.want_checkpoint ? 1 : 0));
   w.pod(req.resume_job);
@@ -91,9 +66,9 @@ Bytes encode_submit(const SubmitRequest& req) {
 }
 
 SubmitRequest decode_submit(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   SubmitRequest req;
-  req.config_text = get_string(r);
+  req.config_text = r.string();
   req.priority = r.pod<std::int32_t>();
   req.want_checkpoint = r.pod<std::uint8_t>() != 0;
   req.resume_job = r.pod<std::int64_t>();
@@ -102,23 +77,23 @@ SubmitRequest decode_submit(const Bytes& body) {
 }
 
 Bytes encode_job_id(std::int64_t job_id) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(job_id);
   return w.take();
 }
 
 std::int64_t decode_job_id(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   const auto id = r.pod<std::int64_t>();
   require_done(r, "job id");
   return id;
 }
 
 Bytes encode_status(const JobStatus& st) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(st.job_id);
   w.pod(static_cast<std::uint8_t>(st.state));
-  put_string(w, st.error);
+  w.string(st.error);
   w.pod(st.steps_done);
   w.pod(st.steps_total);
   w.pod(st.chunks);
@@ -129,11 +104,11 @@ Bytes encode_status(const JobStatus& st) {
 }
 
 JobStatus decode_status(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   JobStatus st;
   st.job_id = r.pod<std::int64_t>();
   st.state = static_cast<JobState>(r.pod<std::uint8_t>());
-  st.error = get_string(r);
+  st.error = r.string();
   st.steps_done = r.pod<std::int64_t>();
   st.steps_total = r.pod<std::int64_t>();
   st.chunks = r.pod<std::int64_t>();
@@ -145,14 +120,14 @@ JobStatus decode_status(const Bytes& body) {
 }
 
 Bytes encode_stream_req(const StreamRequest& req) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(req.job_id);
   w.pod(req.from_seq);
   return w.take();
 }
 
 StreamRequest decode_stream_req(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   StreamRequest req;
   req.job_id = r.pod<std::int64_t>();
   req.from_seq = r.pod<std::int64_t>();
@@ -161,41 +136,41 @@ StreamRequest decode_stream_req(const Bytes& body) {
 }
 
 Bytes encode_chunk(const ChunkMsg& chunk) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(chunk.job_id);
   w.pod(chunk.seq);
   w.pod(static_cast<std::uint8_t>(chunk.kind));
   w.pod(chunk.step);
-  put_bytes(w, chunk.payload);
+  w.blob(chunk.payload);
   return w.take();
 }
 
 ChunkMsg decode_chunk(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   ChunkMsg chunk;
   chunk.job_id = r.pod<std::int64_t>();
   chunk.seq = r.pod<std::int64_t>();
   chunk.kind = static_cast<ChunkKind>(r.pod<std::uint8_t>());
   chunk.step = r.pod<std::int64_t>();
-  chunk.payload = get_bytes(r);
+  chunk.payload = r.blob();
   require_done(r, "chunk");
   return chunk;
 }
 
 Bytes encode_stream_end(const StreamEnd& end) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(end.job_id);
   w.pod(static_cast<std::uint8_t>(end.state));
-  put_string(w, end.error);
+  w.string(end.error);
   return w.take();
 }
 
 StreamEnd decode_stream_end(const Bytes& body) {
-  ckpt::ByteReader r(body);
+  ByteReader r(body);
   StreamEnd end;
   end.job_id = r.pod<std::int64_t>();
   end.state = static_cast<JobState>(r.pod<std::uint8_t>());
-  end.error = get_string(r);
+  end.error = r.string();
   require_done(r, "stream end");
   return end;
 }
@@ -205,48 +180,48 @@ Bytes encode_error(const std::string& message) { return encode_text(message); }
 std::string decode_error(const Bytes& body) { return decode_text(body); }
 
 Bytes encode_text(const std::string& text) {
-  ckpt::ByteWriter w;
-  put_string(w, text);
+  ByteWriter w;
+  w.string(text);
   return w.take();
 }
 
 std::string decode_text(const Bytes& body) {
-  ckpt::ByteReader r(body);
-  std::string s = get_string(r);
+  ByteReader r(body);
+  std::string s = r.string();
   require_done(r, "text");
   return s;
 }
 
 Bytes encode_assignment(const JobAssignment& a) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(static_cast<std::uint8_t>(a.shutdown ? 1 : 0));
   w.pod(a.job_id);
-  put_string(w, a.config_text);
+  w.string(a.config_text);
   w.array(a.pool_ranks);
   w.pod(static_cast<std::uint8_t>(a.want_telemetry ? 1 : 0));
   w.pod(static_cast<std::uint8_t>(a.want_checkpoint ? 1 : 0));
-  put_string(w, a.ckpt_dir);
+  w.string(a.ckpt_dir);
   w.pod(a.checkpoint_every);
   w.pod(static_cast<std::uint8_t>(a.restore ? 1 : 0));
-  put_string(w, a.trace_path);
+  w.string(a.trace_path);
   w.pod(a.walltime_s);
   w.pod(a.metrics_every);
   return w.take();
 }
 
 JobAssignment decode_assignment(const Bytes& payload) {
-  ckpt::ByteReader r(payload);
+  ByteReader r(payload);
   JobAssignment a;
   a.shutdown = r.pod<std::uint8_t>() != 0;
   a.job_id = r.pod<std::int64_t>();
-  a.config_text = get_string(r);
+  a.config_text = r.string();
   a.pool_ranks = r.array<std::int32_t>();
   a.want_telemetry = r.pod<std::uint8_t>() != 0;
   a.want_checkpoint = r.pod<std::uint8_t>() != 0;
-  a.ckpt_dir = get_string(r);
+  a.ckpt_dir = r.string();
   a.checkpoint_every = r.pod<std::int32_t>();
   a.restore = r.pod<std::uint8_t>() != 0;
-  a.trace_path = get_string(r);
+  a.trace_path = r.string();
   a.walltime_s = r.pod<double>();
   a.metrics_every = r.pod<std::int32_t>();
   require_done(r, "assignment");
@@ -254,14 +229,14 @@ JobAssignment decode_assignment(const Bytes& payload) {
 }
 
 Bytes encode_ctrl(const CtrlMsg& msg) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(msg.job_id);
   w.pod(static_cast<std::uint8_t>(msg.action));
   return w.take();
 }
 
 CtrlMsg decode_ctrl(const Bytes& payload) {
-  ckpt::ByteReader r(payload);
+  ByteReader r(payload);
   CtrlMsg msg;
   msg.job_id = r.pod<std::int64_t>();
   const auto action = r.pod<std::uint8_t>();
@@ -274,15 +249,15 @@ CtrlMsg decode_ctrl(const Bytes& payload) {
 }
 
 Bytes encode_up(const UpMsg& msg) {
-  ckpt::ByteWriter w;
+  ByteWriter w;
   w.pod(static_cast<std::uint8_t>(msg.kind));
   w.pod(msg.job_id);
   w.pod(static_cast<std::uint8_t>(msg.chunk_kind));
   w.pod(msg.step);
-  put_bytes(w, msg.payload);
+  w.blob(msg.payload);
   w.pod(static_cast<std::uint8_t>(msg.failed ? 1 : 0));
   w.pod(static_cast<std::uint8_t>(msg.cancelled ? 1 : 0));
-  put_string(w, msg.error);
+  w.string(msg.error);
   w.pod(msg.potential_energy);
   w.pod(msg.steps_completed);
   w.pod(msg.steps_total);
@@ -290,7 +265,7 @@ Bytes encode_up(const UpMsg& msg) {
 }
 
 UpMsg decode_up(const Bytes& payload) {
-  ckpt::ByteReader r(payload);
+  ByteReader r(payload);
   UpMsg msg;
   const auto kind = r.pod<std::uint8_t>();
   SCMD_REQUIRE(kind >= static_cast<std::uint8_t>(UpKind::kChunk) &&
@@ -300,10 +275,10 @@ UpMsg decode_up(const Bytes& payload) {
   msg.job_id = r.pod<std::int64_t>();
   msg.chunk_kind = static_cast<ChunkKind>(r.pod<std::uint8_t>());
   msg.step = r.pod<std::int64_t>();
-  msg.payload = get_bytes(r);
+  msg.payload = r.blob();
   msg.failed = r.pod<std::uint8_t>() != 0;
   msg.cancelled = r.pod<std::uint8_t>() != 0;
-  msg.error = get_string(r);
+  msg.error = r.string();
   msg.potential_energy = r.pod<double>();
   msg.steps_completed = r.pod<std::int64_t>();
   msg.steps_total = r.pod<std::int64_t>();
@@ -313,60 +288,11 @@ UpMsg decode_up(const Bytes& payload) {
 
 bool write_frame(int fd, MsgType type, const Bytes& body) {
   const Bytes payload = encode_frame(type, body);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const char* hp = reinterpret_cast<const char*>(&len);
-  std::size_t left = sizeof(len);
-  while (left > 0) {
-    const ssize_t n = ::send(fd, hp, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    hp += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  const char* p = reinterpret_cast<const char*>(payload.data());
-  left = payload.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
+  return send_frame(fd, payload.data(), payload.size());
 }
-
-namespace {
-
-bool read_full_fd(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 bool read_frame_payload(int fd, Bytes* payload) {
-  std::uint32_t len = 0;
-  if (!read_full_fd(fd, &len, sizeof(len))) return false;
-  SCMD_REQUIRE(len <= kMaxFrameBytes,
-               "service frame announces " + std::to_string(len) +
-                   " bytes (limit " + std::to_string(kMaxFrameBytes) +
-                   ") — protocol violation");
-  payload->resize(len);
-  if (len > 0 && !read_full_fd(fd, payload->data(), len)) return false;
-  return true;
+  return recv_frame(fd, payload, kMaxFrameBytes);
 }
 
 }  // namespace scmd::serve

@@ -6,12 +6,13 @@
 /// Two protocols share this file:
 ///
 ///  1. The **client session protocol** between `scmd_client` and the
-///     daemon's client socket: u32-LE length-prefixed frames (the same
-///     outer framing as net/status_server and net/tcp), each frame
-///     `u32 magic | u16 type | body`.  Bodies are encoded with the
-///     bounds-checked ckpt::ByteWriter/ByteReader pair, so a truncated
-///     or garbage frame is an scmd::Error at decode time — the daemon
-///     answers kError and drops the connection, it never crashes.
+///     daemon's client socket: u32-LE length-prefixed frames (the
+///     send_frame/recv_frame pair of net/tcp.hpp, as the status socket
+///     uses), each frame `u32 magic | u16 type | body`.  Bodies are
+///     encoded with the bounds-checked ByteWriter/ByteReader pair
+///     (support/wire.hpp), so a truncated or garbage frame is an
+///     scmd::Error at decode time — the daemon answers kError and drops
+///     the connection, it never crashes.
 ///
 ///  2. The **pool control protocol** between the daemon (pool rank 0)
 ///     and its workers, carried over the Transport on the registered
@@ -26,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/codec.hpp"
-#include "net/transport.hpp"
+#include "support/wire.hpp"
 
 namespace scmd::serve {
 

@@ -10,11 +10,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
 #include "parallel/check_channel.hpp"
 #include "parallel/comm.hpp"
+#include "support/error.hpp"
 
 namespace scmd {
 namespace {
@@ -111,6 +113,31 @@ TEST_F(EngineChecksTest, DistinctTuplesPass) {
   const std::vector<std::int64_t> flat = {0, 1, 2, /**/ 1, 2, 3};
   EXPECT_NO_THROW(check::check_tuple_ownership(nullptr, 3, flat, 2));
   EXPECT_EQ(check::checks_passed(), 1u);
+}
+
+/// Rank 0 of a 2-rank cluster whose peer answers every gather with 13
+/// bytes — not a whole number of any gathered record.
+class MisalignedPeerChannel final : public check::Channel {
+ public:
+  int rank() const override { return 0; }
+  int num_ranks() const override { return 2; }
+  void send(int, Bytes) override {}
+  Bytes recv(int) override { return Bytes(13); }
+  double allreduce_sum(double value) override { return value; }
+  double allreduce_max(double value) override { return value; }
+};
+
+TEST_F(EngineChecksTest, MisalignedGatherPayloadThrows) {
+  MisalignedPeerChannel ch;
+  const std::vector<std::int64_t> flat = {0, 1, 2};
+  try {
+    check::check_tuple_ownership(&ch, 3, flat, -1);
+    FAIL() << "a 13-byte gather payload was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("misaligned payload"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(EngineChecksTest, ReversedChainIsTheSameTupleAndFails) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/codec.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -169,6 +170,33 @@ TEST_F(CheckpointDirTest, LoadLatestSkipsCorruptFiles) {
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->clock.step, 20);
   EXPECT_EQ(winner, ckpt.path_for_step(20));
+}
+
+TEST_F(CheckpointDirTest, LoadLatestSkipsWrappingAtomCount) {
+  CheckpointDir ckpt(dir_, 3);
+  for (long long step : {10, 20}) ckpt.write(at_step(step));
+  // Re-seal the newest snapshot with a CRC-valid ATOM section whose
+  // count, 2^60 + 1 records of 80 bytes, wraps to the 80 bytes present.
+  const std::string newest = ckpt.path_for_step(20);
+  const SectionFile valid = SectionFile::decode(read_file(newest));
+  SectionFile forged;
+  for (const Section& s : valid.sections()) {
+    if (s.id != section_id("ATOM")) {
+      forged.add(s.id, s.payload);
+      continue;
+    }
+    ByteWriter w;
+    w.pod((std::uint64_t{1} << 60) + 1);
+    w.append(s.payload.data() + sizeof(std::uint64_t), 80);
+    forged.add(s.id, w.take());
+  }
+  atomic_write_file(newest, forged.encode());
+
+  std::string winner;
+  const auto latest = ckpt.load_latest(&winner);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->clock.step, 10);
+  EXPECT_EQ(winner, ckpt.path_for_step(10));
 }
 
 TEST_F(CheckpointDirTest, EmptyDirLoadsNothing) {

@@ -11,6 +11,7 @@
 
 #include "ckpt/codec.hpp"
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace scmd::ckpt {
 namespace {
@@ -41,12 +42,17 @@ TEST(ByteCodecTest, ShortReadThrows) {
 
 TEST(ByteCodecTest, OverlongArrayCountThrows) {
   // An array header claiming more elements than the payload holds must
-  // be rejected up front, not allocate-and-crash.
-  ByteWriter w;
-  w.pod(std::uint64_t{1u << 20});
-  const Bytes bytes = w.bytes();
-  ByteReader r(bytes);
-  EXPECT_THROW(r.array<double>(), Error);
+  // be rejected up front, not allocate-and-crash.  2^61 + 1 doubles is
+  // 2^64 + 8 bytes: the byte count wraps to the 8 that do follow.
+  for (const std::uint64_t count :
+       {std::uint64_t{1u << 20}, (std::uint64_t{1} << 61) + 1}) {
+    ByteWriter w;
+    w.pod(count);
+    w.pod(0.0);
+    const Bytes bytes = w.bytes();
+    ByteReader r(bytes);
+    EXPECT_THROW(r.array<double>(), Error) << count;
+  }
 }
 
 TEST(ByteCodecTest, TakeConsumesRawBytes) {

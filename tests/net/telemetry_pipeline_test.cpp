@@ -167,17 +167,11 @@ std::string query_status(int port) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::uint32_t zero = 0;
-  EXPECT_EQ(::send(fd, &zero, sizeof(zero), 0),
-            static_cast<ssize_t>(sizeof(zero)));
-  std::uint32_t len = 0;
-  EXPECT_EQ(::recv(fd, &len, sizeof(len), MSG_WAITALL),
-            static_cast<ssize_t>(sizeof(len)));
-  std::string body(len, '\0');
-  EXPECT_EQ(::recv(fd, body.data(), len, MSG_WAITALL),
-            static_cast<ssize_t>(len));
+  EXPECT_TRUE(send_frame(fd, nullptr, 0));
+  Bytes body;
+  EXPECT_TRUE(recv_frame(fd, &body, 1u << 30));
   ::close(fd);
-  return body;
+  return std::string(reinterpret_cast<const char*>(body.data()), body.size());
 }
 
 TEST(TelemetryPipelineTest, InProcessRunPublishesStatus) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace scmd::obs {
 namespace {
@@ -85,6 +87,26 @@ TEST(TelemetryCodecTest, RejectsTruncation) {
     Bytes cut(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(keep));
     EXPECT_THROW(decode_frame(cut), Error) << keep;
   }
+}
+
+/// SCTF header (magic, version, rank) followed by `counts`, nothing else.
+Bytes header_with_counts(std::initializer_list<std::uint32_t> counts) {
+  ByteWriter w;
+  w.pod(std::uint32_t{0x53435446});
+  w.pod(std::uint32_t{1});
+  w.pod(std::int32_t{0});
+  for (const std::uint32_t c : counts) w.pod(c);
+  return w.take();
+}
+
+// A count the bytes cannot hold is an Error before anything is sized
+// from it — not a multi-gigabyte allocation that fails or succeeds.
+TEST(TelemetryCodecTest, RejectsOverlongStepCount) {
+  EXPECT_THROW(decode_frame(header_with_counts({0xFFFFFFFFu})), Error);
+}
+
+TEST(TelemetryCodecTest, RejectsOverlongEventCount) {
+  EXPECT_THROW(decode_frame(header_with_counts({0u, 0xFFFFFFFFu})), Error);
 }
 
 TEST(TelemetryCodecTest, RejectsTrailingBytes) {

@@ -7,9 +7,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
+#include "net/tcp.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "support/error.hpp"
 
@@ -67,6 +71,13 @@ TEST(ServeProtocolTest, DecodeBodyRejectsTruncation) {
   }());
   Bytes cut(body.begin(), body.end() - 1);
   EXPECT_THROW(decode_status(cut), Error);
+
+  // A pool_ranks count of 2^62 + 1 int32s is 2^64 + 4 bytes: the byte
+  // count wraps to the 4 bytes of the last rank that do follow.
+  Bytes wrapped(body.begin(), body.end() - 8);
+  const std::uint64_t count = (std::uint64_t{1} << 62) + 1;
+  std::memcpy(wrapped.data() + wrapped.size() - 12, &count, sizeof(count));
+  EXPECT_THROW(decode_status(wrapped), Error);
 }
 
 TEST(ServeProtocolTest, DecodeBodyRejectsTrailingBytes) {
@@ -228,11 +239,37 @@ TEST(ServeProtocolTest, SocketFraming) {
   // Oversized announced length: protocol violation, throws.
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::uint32_t huge = kMaxFrameBytes + 1;
-  ASSERT_EQ(::send(fds[0], &huge, sizeof(huge), 0),
-            static_cast<ssize_t>(sizeof(huge)));
+  ASSERT_TRUE(send_all(fds[0], &huge, sizeof(huge)));
   EXPECT_THROW(read_frame_payload(fds[1], &payload), Error);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+/// Request/reply over loopback TCP — a socketpair has no Nagle.  A
+/// frame sent as two segments waits for the peer's delayed ACK (~40 ms)
+/// on every round trip; one segment per frame plus TCP_NODELAY does not.
+TEST(ServeProtocolTest, LoopbackRoundTripsDoNotStall) {
+  constexpr int kRoundTrips = 20;
+  const auto [listen_fd, port] = bind_listener("127.0.0.1", 0);
+  std::thread server([fd = listen_fd] {
+    const int conn = ::accept(fd, nullptr, nullptr);
+    Bytes payload;
+    while (read_frame_payload(conn, &payload) &&
+           write_frame(conn, MsgType::kJobsInfo, encode_text("[]"))) {
+    }
+    ::close(conn);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ClientConnection client("127.0.0.1", port);
+    for (int i = 0; i < kRoundTrips; ++i) EXPECT_EQ(client.jobs(), "[]");
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  server.join();
+  ::close(listen_fd);
+  EXPECT_LT(took.count(), 1.0)
+      << kRoundTrips << " round trips took " << took.count() << " s";
 }
 
 TEST(ServeProtocolTest, StateNamesAndTerminality) {

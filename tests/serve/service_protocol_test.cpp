@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "net/tcp.hpp"
 #include "pool_harness.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -57,10 +58,6 @@ int raw_connect(int port) {
                       sizeof(addr)),
             0);
   return fd;
-}
-
-void send_all(int fd, const void* data, std::size_t n) {
-  ASSERT_EQ(::send(fd, data, n, 0), static_cast<ssize_t>(n));
 }
 
 class ServiceProtocolTest : public ::testing::TestWithParam<Backend> {};
@@ -268,11 +265,9 @@ TEST_P(ServiceProtocolTest, MalformedFramesGetErrorRepliesNotCrashes) {
   {
     // Garbage magic: kError reply, connection dropped.
     const int fd = raw_connect(pool.client_port());
-    const std::uint32_t len = 8;
     const unsigned char junk[8] = {0xAB, 0xAB, 0xAB, 0xAB,
                                    0xAB, 0xAB, 0xAB, 0xAB};
-    send_all(fd, &len, sizeof(len));
-    send_all(fd, junk, sizeof(junk));
+    ASSERT_TRUE(send_frame(fd, junk, sizeof(junk)));
     Bytes payload;
     ASSERT_TRUE(serve::read_frame_payload(fd, &payload));
     EXPECT_EQ(serve::decode_frame(payload).type, MsgType::kError);
@@ -283,7 +278,7 @@ TEST_P(ServiceProtocolTest, MalformedFramesGetErrorRepliesNotCrashes) {
     // Oversized announced length: unresynchronizable, kError + drop.
     const int fd = raw_connect(pool.client_port());
     const std::uint32_t huge = serve::kMaxFrameBytes + 1;
-    send_all(fd, &huge, sizeof(huge));
+    ASSERT_TRUE(send_all(fd, &huge, sizeof(huge)));
     Bytes payload;
     ASSERT_TRUE(serve::read_frame_payload(fd, &payload));
     EXPECT_EQ(serve::decode_frame(payload).type, MsgType::kError);

@@ -168,6 +168,38 @@ class TsaEscapeTest(unittest.TestCase):
             "void f() SCMD_NO_THREAD_SAFETY_ANALYSIS;\n"), [])
 
 
+class RawSocketIoTest(unittest.TestCase):
+    def test_socket_syscalls_outside_tcp_flagged(self):
+        hits = findings(scmd_lint.rule_raw_socket_io,
+                        "src/net/status_server.cpp",
+                        "n = ::send(fd, p, size, MSG_NOSIGNAL);\n"
+                        "n = ::recv(fd, p, size, 0);\n"
+                        "n = ::sendmsg(fd, &msg, 0);\n"
+                        "n = :: recvfrom(fd, p, size, 0, a, l);\n")
+        self.assertEqual([f.line for f in hits], [1, 2, 3, 4])
+        self.assertTrue(all(f.rule == "raw-socket-io" for f in hits))
+
+    def test_tests_are_checked_too(self):
+        hits = findings(scmd_lint.rule_raw_socket_io,
+                        "tests/serve/protocol_test.cpp",
+                        "ASSERT_EQ(::send(fds[0], &huge, 4, 0), 4);\n")
+        self.assertEqual(len(hits), 1)
+
+    def test_tcp_cpp_exempt(self):
+        self.assertEqual(findings(
+            scmd_lint.rule_raw_socket_io, "src/net/tcp.cpp",
+            "n = ::send(fd, p, size, MSG_NOSIGNAL);\n"), [])
+
+    def test_members_helpers_and_comments_clean(self):
+        self.assertEqual(findings(
+            scmd_lint.rule_raw_socket_io, "src/net/inproc.cpp",
+            "void TcpTransport::send(int dst, int tag, Bytes p) {}\n"
+            "Bytes Cluster::recv(int dst, int src, int tag);\n"
+            "send_all(fd, &len, 4);\n"
+            "comm.recv(src, tags::kCheck);\n"
+            "// a raw ::send(fd, ...) here would be flagged\n"), [])
+
+
 TAGS_FIXTURE = """
 namespace scmd::tags {
 inline constexpr int kFooBase = 100;
@@ -271,7 +303,8 @@ class CliTest(unittest.TestCase):
                            capture_output=True, text=True, check=False)
         self.assertEqual(p.returncode, 0)
         for rule in ("raw-tag", "mutex-annotation", "naked-new", "std-rand",
-                     "unpack-try", "tsa-escape", "tag-docs"):
+                     "unpack-try", "tsa-escape", "raw-socket-io",
+                     "tag-docs"):
             self.assertIn(rule, p.stdout)
 
     def test_real_repo_is_clean(self):

@@ -30,6 +30,11 @@ Rules (each a bug class the compiler alone does not catch):
                     plane owns exactly the kSvcBase window
                     (docs/SERVICE.md); borrowing an MD channel would race
                     the jobs the daemon is multiplexing.
+  raw-socket-io     A ::send()/::recv() (or their msg/to/from variants)
+                    socket syscall outside src/net/tcp.cpp.  Every stream
+                    protocol goes through the one send_all/recv_all and
+                    frame pair there, so short writes, EINTR, SIGPIPE and
+                    single-segment framing are handled once.
   tag-docs          The tag table in docs/TRANSPORT.md disagrees with the
                     kRegistry in src/net/tags.hpp (docs must not drift
                     from the code).
@@ -62,6 +67,7 @@ SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
 TAGS_HPP = "src/net/tags.hpp"
 THREAD_SAFETY_HPP = "src/support/thread_safety.hpp"
+SOCKET_IO_HOME = "src/net/tcp.cpp"
 TRANSPORT_MD = "docs/TRANSPORT.md"
 SUPPRESSIONS = "tools/lint/lint_suppressions.txt"
 
@@ -319,6 +325,20 @@ def rule_tsa_escape(path: str, text: str) -> Iterable[Finding]:
             f"({', '.join(NO_ESCAPE_DIRS)}); fix the discipline instead")
 
 
+SOCKET_IO = re.compile(r"(?<![\w:>])::\s*(?:send|recv)(?:msg|to|from)?\s*\(")
+
+
+def rule_raw_socket_io(path: str, text: str) -> Iterable[Finding]:
+    if path == SOCKET_IO_HOME:
+        return
+    code = strip_comments_and_strings(text)
+    for m in SOCKET_IO.finditer(code):
+        yield Finding(
+            "raw-socket-io", path, line_of(code, m.start()),
+            f"raw socket syscall {m.group(0).rstrip('( ')}; use send_all/"
+            f"recv_all or send_frame/recv_frame from {SOCKET_IO_HOME}")
+
+
 # ---------------------------------------------------------------------------
 # tag-docs: docs/TRANSPORT.md table vs src/net/tags.hpp kRegistry.
 
@@ -413,6 +433,7 @@ PER_FILE_RULES: dict[str, Callable[[str, str], Iterable[Finding]]] = {
     "unpack-try": rule_unpack_try,
     "service-tags": rule_service_tags,
     "tsa-escape": rule_tsa_escape,
+    "raw-socket-io": rule_raw_socket_io,
 }
 
 TREE_RULES = {"tag-docs": rule_tag_docs}
