@@ -9,9 +9,9 @@
 //                  [--max-walltime-s=S] [--metrics-out=serve.jsonl]
 //
 //   tcp pool (one process per pool rank, tools/launch_serve.sh):
-//     rank 0:   ./scmd_serve --transport=tcp --rank=0 --nranks=8 \
+//     rank 0:   ./scmd_serve --transport=tcp --rank=0 --nranks=8
 //                  --rendezvous=host:port [client flags as above]
-//     rank i>0: ./scmd_serve --transport=tcp --rank=i --nranks=8 \
+//     rank i>0: ./scmd_serve --transport=tcp --rank=i --nranks=8
 //                  --rendezvous=host:port
 //
 // On startup the daemon prints one machine-readable line per bound

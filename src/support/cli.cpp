@@ -30,7 +30,7 @@ Cli::Cli(int argc, const char* const* argv, std::vector<std::string> known) {
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         value = argv[++i];
       } else {
-        value = "1";
+        value.assign(1, '1');
       }
     }
     SCMD_REQUIRE(accepted(name), "unknown flag --" + name);

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "tuples/kernels/simd.hpp"
 
 namespace scmd::kernels {
 
@@ -107,11 +108,25 @@ KernelMode mode_from_env() {
   return KernelMode::kAuto;
 }
 
+namespace detail {
+
+Isa host_isa() {
+#if SCMD_KERNELS_AVX2_VARIANT
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kBaseline;
+#else
+  return Isa::kBaseline;
+#endif
+}
+
+}  // namespace detail
+
 BoundKernels::BoundKernels(const ForceField& field, KernelMode mode)
     : field_(&field) {
   if (mode == KernelMode::kScalar) return;
-  fn_[2] = detail::bind_pair_kernel(field);
-  fn_[3] = detail::bind_triplet_kernel(field);
+  const detail::Isa isa = detail::host_isa();
+  fn_[2] = detail::bind_pair_kernel(field, isa);
+  fn_[3] = detail::bind_triplet_kernel(field, isa);
 }
 
 double BoundKernels::eval(int n, const int* tuples, long long count,

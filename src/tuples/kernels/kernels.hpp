@@ -13,8 +13,10 @@
 /// At bind time the field is matched against the potentials this layer
 /// specializes (pairs: LJ / Morse / BKS / Vashishta / SW; triplets: the
 /// shared screened bond-bending term of Vashishta and SW).  A match
-/// installs a batched SoA kernel that processes tuples in kLanes-wide
-/// blocks with branch-free masking (see simd.hpp); anything else — and
+/// installs a batched SoA kernel that compacts the tuples needing
+/// arithmetic into kLanes-wide blocks and runs branch-free lane loops on
+/// them, built for the widest instruction set the CPU offers (see
+/// simd.hpp); anything else — and
 /// every arity without a specialized kernel — falls back to a scalar
 /// loop over the field's virtual eval_* methods, itself unrolled on
 /// arity via template<int N>.  KernelMode::kScalar forces the fallback
@@ -23,12 +25,12 @@
 /// Numerical contract: a kernel reproduces the scalar term formulas
 /// expression for expression; the only deviations are the vectorizable
 /// exp replacing libm's (~1 ulp) and integer powers by squaring
-/// replacing std::pow (~few ulp).  Energy is summed in tuple order
-/// within each lane block and block order across the stream, and forces
-/// are scattered in tuple order, so results are deterministic for a
-/// fixed tuple stream.  The mask criterion is bitwise the enumerator's
-/// acceptance test (consecutive deltas, norm2 < rcut²), so eval counts
-/// match the scalar path exactly.
+/// replacing std::pow (~few ulp).  Energy is summed and forces are
+/// scattered in tuple order, and the instruction-set variants agree bit
+/// for bit, so results are deterministic for a fixed tuple stream — and
+/// unchanged by dropping cutoff-failing tuples from it.  The cutoff test
+/// is bitwise the enumerator's acceptance test (consecutive deltas,
+/// norm2 < rcut²), so eval counts match the scalar path exactly.
 
 #include <array>
 #include <cstdint>
@@ -95,13 +97,25 @@ class BoundKernels {
 
 namespace detail {
 
-/// Batched pair kernel for `field`, or an empty function when the field
-/// is not a specialized pair potential.  Implemented in pair_kernels.cpp.
-KernelFn bind_pair_kernel(const ForceField& field);
+/// Instruction-set variant of a batched kernel (see simd.hpp).
+enum class Isa {
+  kBaseline,  ///< the build's own target
+  kAvx2,      ///< lane loops built under [[gnu::target("avx2")]]
+};
+
+/// The variant BoundKernels binds: kAvx2 when the build carries a
+/// separate AVX2 variant and the CPU supports it, else kBaseline.
+Isa host_isa();
+
+/// Batched pair kernel for `field` built for `isa`, or an empty function
+/// when the field is not a specialized pair potential.  In a build
+/// without a separate AVX2 variant, kAvx2 binds the baseline.
+/// Implemented in pair_kernels.cpp.
+KernelFn bind_pair_kernel(const ForceField& field, Isa isa);
 
 /// Batched triplet kernel (screened bond bending), or empty.
 /// Implemented in triplet_kernels.cpp.
-KernelFn bind_triplet_kernel(const ForceField& field);
+KernelFn bind_triplet_kernel(const ForceField& field, Isa isa);
 
 }  // namespace detail
 

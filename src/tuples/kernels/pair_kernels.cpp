@@ -5,17 +5,27 @@
 // translation unit is compiled with -fno-math-errno so std::sqrt lowers
 // to the hardware instruction inside the lane loops.
 //
-// Loop structure per kLanes block: scalar gather of indices, deltas and
-// per-type-pair parameters into stack SoA arrays; one branch-free
-// arithmetic loop (the auto-vectorized part) producing per-lane energy
-// and f_over_r; a scalar masked scatter that counts evals, sums energy
-// in lane order, and accumulates ±f into the force array.  Masked lanes
-// (cutoff-failing or block padding) may compute non-finite
-// intermediates — their outputs are discarded by the mask, never
-// scattered.
+// Loop structure: one scalar pass over the stream gathers each tuple's
+// indices, delta and r², applies the exact-rcut² test, and packs the
+// survivors in stream order into a pending SoA block — ~23% of a
+// skin-inflated silica replay stream fails the cutoff and never reaches
+// the arithmetic.  A full block runs the Op's branch-free lane loop (the
+// auto-vectorized part, producing per-lane energy and f_over_r) and a
+// scalar scatter that sums energy and accumulates ±f in packed (=
+// stream) order.  The final partial block is padded with copies of its
+// last survivor, whose outputs are dropped.  Every lane the Op sees is a
+// real survivor, and the energy/force sums run over survivors in stream
+// order exactly as a per-tuple masked loop would, so compaction changes
+// no bit of the result.
+//
+// pair_loop is built twice (simd.hpp): for the build's baseline target
+// and, when the compiler targets x86 below AVX2, under
+// [[gnu::target("avx2")]] — the same source inlined into a second
+// function, picked once at bind time.
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "potentials/bks.hpp"
@@ -30,55 +40,119 @@ namespace scmd::kernels::detail {
 
 namespace {
 
+/// Compacted survivors awaiting the Op: endpoints, delta i−j and r².
+struct PairBlock {
+  alignas(64) int ia[kLanes];
+  alignas(64) int ja[kLanes];
+  alignas(64) double dx[kLanes];
+  alignas(64) double dy[kLanes];
+  alignas(64) double dz[kLanes];
+  alignas(64) double r2[kLanes];
+};
+
 /// Shared pair skeleton.  `op(ia, ja, r2, type, e, fr)` fills per-lane
 /// energy and f_over_r (force = delta * f_over_r, added to i, subtracted
-/// from j — the eval_pair convention) for ALL lanes, branch-free.
+/// from j — the eval_pair convention) for all kLanes lanes of a block,
+/// branch-free.
 template <class Op>
-double pair_loop(const Op& op, const int* tuples, long long count,
-                 std::span<const Vec3> pos, std::span<const int> type,
-                 double rcut2, Vec3* fd, std::uint64_t& evals) {
+[[gnu::always_inline]] inline double pair_loop(
+    const Op& op, const int* tuples, long long count,
+    std::span<const Vec3> pos, std::span<const int> type, double rcut2,
+    Vec3* fd, std::uint64_t& evals) {
   double energy = 0.0;
   std::uint64_t ev = 0;
-  for (long long base = 0; base < count; base += kLanes) {
-    const int m = static_cast<int>(std::min<long long>(kLanes, count - base));
-    alignas(64) int ia[kLanes];
-    alignas(64) int ja[kLanes];
-    alignas(64) double dx[kLanes];
-    alignas(64) double dy[kLanes];
-    alignas(64) double dz[kLanes];
-    alignas(64) double r2[kLanes];
+  PairBlock b;
+  long long t = 0;
+  for (;;) {
+    // Fill one block.  Branch-free: every tuple is written to the next
+    // free slot, and the slot is kept only when the tuple passes.
+    int np = 0;
+    for (; np < kLanes && t < count; ++t) {
+      const int i = tuples[2 * t];
+      const int j = tuples[2 * t + 1];
+      const Vec3 d = pos[static_cast<std::size_t>(i)] -
+                     pos[static_cast<std::size_t>(j)];
+      const double r2 = d.x * d.x + d.y * d.y + d.z * d.z;
+      b.ia[np] = i;
+      b.ja[np] = j;
+      b.dx[np] = d.x;
+      b.dy[np] = d.y;
+      b.dz[np] = d.z;
+      b.r2[np] = r2;
+      np += r2 < rcut2 ? 1 : 0;
+    }
+    if (np == 0) break;
+    // A partial block ends the stream: pad it with copies of the last
+    // survivor; the scatter stops at np.
+    for (int l = np; l < kLanes; ++l) {
+      b.ia[l] = b.ia[np - 1];
+      b.ja[l] = b.ja[np - 1];
+      b.dx[l] = b.dx[np - 1];
+      b.dy[l] = b.dy[np - 1];
+      b.dz[l] = b.dz[np - 1];
+      b.r2[l] = b.r2[np - 1];
+    }
     alignas(64) double e[kLanes];
     alignas(64) double fr[kLanes];
-    bool pass[kLanes];
+    op(b.ia, b.ja, b.r2, type, e, fr);
+    alignas(64) double fx[kLanes];
+    alignas(64) double fy[kLanes];
+    alignas(64) double fz[kLanes];
     for (int l = 0; l < kLanes; ++l) {
-      // Padding lanes replicate the last tuple and are masked below.
-      const long long i = base + (l < m ? l : m - 1);
-      ia[l] = tuples[2 * i];
-      ja[l] = tuples[2 * i + 1];
+      fx[l] = b.dx[l] * fr[l];
+      fy[l] = b.dy[l] * fr[l];
+      fz[l] = b.dz[l] * fr[l];
     }
-    for (int l = 0; l < kLanes; ++l) {
-      const Vec3 d = pos[static_cast<std::size_t>(ia[l])] -
-                     pos[static_cast<std::size_t>(ja[l])];
-      dx[l] = d.x;
-      dy[l] = d.y;
-      dz[l] = d.z;
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      r2[l] = dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l];
-    }
-    for (int l = 0; l < kLanes; ++l) pass[l] = l < m && r2[l] < rcut2;
-    op(ia, ja, r2, type, e, fr);
-    for (int l = 0; l < kLanes; ++l) {
-      if (!pass[l]) continue;
-      ++ev;
+    for (int l = 0; l < np; ++l) {
       energy += e[l];
-      const Vec3 f{dx[l] * fr[l], dy[l] * fr[l], dz[l] * fr[l]};
-      fd[ia[l]] += f;
-      fd[ja[l]] -= f;
+      const Vec3 f{fx[l], fy[l], fz[l]};
+      fd[b.ia[l]] += f;
+      fd[b.ja[l]] -= f;
     }
+    ev += static_cast<std::uint64_t>(np);
+    if (np < kLanes) break;
   }
   evals += ev;
   return energy;
+}
+
+template <class Op>
+[[gnu::flatten]] double pair_eval(const Op& op, const int* tuples,
+                                  long long count, std::span<const Vec3> pos,
+                                  std::span<const int> type, double rcut2,
+                                  Vec3* fd, std::uint64_t& evals) {
+  return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
+}
+
+#if SCMD_KERNELS_AVX2_VARIANT
+template <class Op>
+[[gnu::target("avx2"), gnu::flatten]] double pair_eval_avx2(
+    const Op& op, const int* tuples, long long count,
+    std::span<const Vec3> pos, std::span<const int> type, double rcut2,
+    Vec3* fd, std::uint64_t& evals) {
+  return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
+}
+#endif
+
+/// The bound KernelFn for `op`, built for instruction-set variant `isa`.
+template <class Op>
+KernelFn pair_fn(Op op, [[maybe_unused]] Isa isa) {
+#if SCMD_KERNELS_AVX2_VARIANT
+  if (isa == Isa::kAvx2) {
+    return [op = std::move(op)](const int* tuples, long long count,
+                                std::span<const Vec3> pos,
+                                std::span<const int> type, double rcut2,
+                                Vec3* fd, std::uint64_t& evals) {
+      return pair_eval_avx2(op, tuples, count, pos, type, rcut2, fd, evals);
+    };
+  }
+#endif
+  return [op = std::move(op)](const int* tuples, long long count,
+                              std::span<const Vec3> pos,
+                              std::span<const int> type, double rcut2,
+                              Vec3* fd, std::uint64_t& evals) {
+    return pair_eval(op, tuples, count, pos, type, rcut2, fd, evals);
+  };
 }
 
 struct LjOp {
@@ -293,30 +367,15 @@ struct SwPairOp {
 
 }  // namespace
 
-KernelFn bind_pair_kernel(const ForceField& field) {
+KernelFn bind_pair_kernel(const ForceField& field, Isa isa) {
   if (const auto* lj = dynamic_cast<const LennardJones*>(&field)) {
-    return [op = LjOp(*lj)](const int* tuples, long long count,
-                            std::span<const Vec3> pos,
-                            std::span<const int> type, double rcut2, Vec3* fd,
-                            std::uint64_t& evals) {
-      return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
-    };
+    return pair_fn(LjOp(*lj), isa);
   }
   if (const auto* morse = dynamic_cast<const Morse*>(&field)) {
-    return [op = MorseOp(*morse)](const int* tuples, long long count,
-                                  std::span<const Vec3> pos,
-                                  std::span<const int> type, double rcut2,
-                                  Vec3* fd, std::uint64_t& evals) {
-      return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
-    };
+    return pair_fn(MorseOp(*morse), isa);
   }
   if (const auto* bks = dynamic_cast<const BksSiO2*>(&field)) {
-    return [op = BksOp(*bks)](const int* tuples, long long count,
-                              std::span<const Vec3> pos,
-                              std::span<const int> type, double rcut2,
-                              Vec3* fd, std::uint64_t& evals) {
-      return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
-    };
+    return pair_fn(BksOp(*bks), isa);
   }
   if (const auto* vp = dynamic_cast<const VashishtaSiO2*>(&field)) {
     // The per-lane exponent select needs the steric exponents to be the
@@ -350,24 +409,13 @@ KernelFn bind_pair_kernel(const ForceField& field) {
       ok = ok && emax <= emin + 4;
     }
     if (!ok) return {};
-    return [op = VashishtaOp(*vp, emin)](const int* tuples, long long count,
-                                         std::span<const Vec3> pos,
-                                         std::span<const int> type,
-                                         double rcut2, Vec3* fd,
-                                         std::uint64_t& evals) {
-      return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
-    };
+    return pair_fn(VashishtaOp(*vp, emin), isa);
   }
   if (const auto* sw = dynamic_cast<const StillingerWeber*>(&field)) {
     // Only the standard exponents get a batched instantiation (see
     // SwPairOp); anything else keeps the scalar path.
     if (sw->params().p != 4.0 || sw->params().q != 0.0) return {};
-    return [op = SwPairOp<4, 0>(*sw)](const int* tuples, long long count,
-                                      std::span<const Vec3> pos,
-                                      std::span<const int> type, double rcut2,
-                                      Vec3* fd, std::uint64_t& evals) {
-      return pair_loop(op, tuples, count, pos, type, rcut2, fd, evals);
-    };
+    return pair_fn(SwPairOp<4, 0>(*sw), isa);
   }
   return {};
 }

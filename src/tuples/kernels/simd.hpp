@@ -4,13 +4,24 @@
 /// Portable vector-friendly primitives for the batched tuple kernels.
 ///
 /// The kernels in this layer are written as fixed-width lane loops over
-/// small stack-resident SoA blocks (`double a[kLanes]`).  Every lane is
-/// independent, every loop bound is the compile-time constant kLanes, and
-/// no lane branches — so the compiler auto-vectorizes them to whatever
-/// the target ISA offers (SSE2 on the portable x86-64 baseline, AVX-512
-/// under SCMD_NATIVE) without intrinsics or a per-ISA code path.  The
-/// kernel translation units are built with -fno-math-errno so
-/// std::sqrt lowers to the hardware instruction.
+/// small stack-resident SoA blocks (`double a[kLanes]`) that hold only
+/// tuples which need the arithmetic: cutoff-failing (and, for bond
+/// bending, inert) tuples are compacted away before a block is filled.
+/// Every lane is independent, every loop bound is the compile-time
+/// constant kLanes, and no lane branches — so the compiler
+/// auto-vectorizes them to whatever the target ISA offers without
+/// intrinsics or a per-ISA code path.  The kernel translation units are
+/// built with -fno-math-errno so std::sqrt lowers to the hardware
+/// instruction.
+///
+/// Each lane loop is compiled twice when the build targets x86 below
+/// AVX2 (SCMD_KERNELS_AVX2_VARIANT): once for the baseline (SSE2 on
+/// portable x86-64) and once inside a [[gnu::target("avx2")]] function
+/// that inlines the same body.  BoundKernels picks the variant once, at
+/// bind time, from the CPU.  AVX2 does not enable FMA, so no multiply-add
+/// is contracted and every lane op is the same correctly rounded IEEE op
+/// in both variants: they agree bit for bit.  A build that already
+/// targets AVX2 (e.g. SCMD_NATIVE=ON) compiles a single variant.
 ///
 /// vexp() is the one transcendental the hot kernels need (screened
 /// Coulomb, Morse, Buckingham, bond-bending screening all call exp).
@@ -20,16 +31,24 @@
 /// approximant on the reduced argument, and exponent-field scaling.
 /// Accuracy is ~1-2 ulp against libm over the kernels' argument range
 /// (pinned by tests/tuples/kernels_test.cpp); inputs are clamped to
-/// [-708.39, 709.78] so the result is always finite — out-of-range lanes
-/// are masked lanes whose outputs the callers zero anyway.
+/// [-708.39, 709.78] so the result is always finite.
 
 #include <bit>
 #include <cstdint>
 
+/// 1 when the kernels carry a second, AVX2-targeted build of their lane
+/// loops (see the file comment).
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__)) && \
+    !defined(__AVX2__)
+#define SCMD_KERNELS_AVX2_VARIANT 1
+#else
+#define SCMD_KERNELS_AVX2_VARIANT 0
+#endif
+
 namespace scmd::kernels {
 
 /// SoA block width of the batched kernels, in doubles.  One AVX-512
-/// register, two AVX registers, four SSE2 registers.
+/// register, two AVX2 registers, four SSE2 registers.
 inline constexpr int kLanes = 8;
 
 /// Tuples evaluated per dispatch block on the streaming (non-cached)

@@ -15,14 +15,20 @@
 // transcendental math (silica: ~10% of the stream).  Running the full
 // sqrt/div/exp block on every lane therefore loses to the scalar
 // early-out path.  Instead the cheap geometry/LUT pass classifies each
-// lane, and active lanes are compacted into a pending SoA block that
-// runs the expensive loop only when full (plus one masked flush at the
-// end of the stream).  Compaction preserves stream order among active
-// tuples, and inert lanes contribute exactly +0.0, so energy totals and
-// per-atom force sums are bit-identical to the uncompacted kernel.
+// lane, and active lanes (their chain slots and channel) are compacted
+// into a pending block that runs the expensive loop only when full
+// (plus one padded flush at the end of the stream).  Compaction
+// preserves stream order among active tuples, and inert lanes
+// contribute exactly +0.0, so energy totals and per-atom force sums are
+// bit-identical to the uncompacted kernel.
 // Padding lanes in the final flush replicate a real active lane and are
 // dropped before any scatter.  Compiled with -fno-math-errno for
 // vectorizable sqrt.
+//
+// BendOp::eval (classification pass and flush) is built twice
+// (simd.hpp): for the baseline target and, when the compiler targets x86
+// below AVX2, under [[gnu::target("avx2")]] — the same source inlined
+// into a second function, picked once at bind time.
 
 #include <algorithm>
 #include <cmath>
@@ -45,24 +51,13 @@ struct BendOp {
   std::vector<BondBendingParams> lut;
 
   /// Pending block of compacted active tuples awaiting the expensive
-  /// loop.  Stack-resident; lives one eval() call.
+  /// loop: the chain slots and the channel (LUT index).  Stack-resident;
+  /// lives one eval() call.
   struct Pending {
     alignas(64) int aa[kLanes];
     alignas(64) int cc[kLanes];
     alignas(64) int bb[kLanes];
-    alignas(64) double ux[kLanes];
-    alignas(64) double uy[kLanes];
-    alignas(64) double uz[kLanes];
-    alignas(64) double vx[kLanes];
-    alignas(64) double vy[kLanes];
-    alignas(64) double vz[kLanes];
-    alignas(64) double ru2[kLanes];
-    alignas(64) double rv2[kLanes];
-    alignas(64) double B[kLanes];
-    alignas(64) double cos0[kLanes];
-    alignas(64) double C[kLanes];
-    alignas(64) double gam[kLanes];
-    alignas(64) double r0[kLanes];
+    alignas(64) int ch[kLanes];
   };
 
   /// Expensive loop over `m` packed active lanes: full bond-bending
@@ -70,7 +65,45 @@ struct BendOp {
   /// [m, kLanes) are padding (copies of lane m-1) whose outputs are
   /// dropped.  Every packed lane has a live channel (B != 0) and both
   /// legs inside the screening cutoff, so no inert select is needed.
-  void flush(const Pending& p, int m, double& energy, Vec3* fd) const {
+  /// The legs are recomputed from `pos` exactly as the classification
+  /// pass computed them, so they are bitwise the legs it tested.
+  [[gnu::always_inline]] void flush(const Pending& pend, int m,
+                                    std::span<const Vec3> pos, double& energy,
+                                    Vec3* fd) const {
+    struct Lanes {
+      alignas(64) double ux[kLanes];
+      alignas(64) double uy[kLanes];
+      alignas(64) double uz[kLanes];
+      alignas(64) double vx[kLanes];
+      alignas(64) double vy[kLanes];
+      alignas(64) double vz[kLanes];
+      alignas(64) double ru2[kLanes];
+      alignas(64) double rv2[kLanes];
+      alignas(64) double B[kLanes];
+      alignas(64) double cos0[kLanes];
+      alignas(64) double C[kLanes];
+      alignas(64) double gam[kLanes];
+      alignas(64) double r0[kLanes];
+    } p;
+    for (int l = 0; l < kLanes; ++l) {
+      const Vec3& rc_ = pos[static_cast<std::size_t>(pend.cc[l])];
+      const Vec3 u = pos[static_cast<std::size_t>(pend.aa[l])] - rc_;
+      const Vec3 v = pos[static_cast<std::size_t>(pend.bb[l])] - rc_;
+      const BondBendingParams& q = lut[static_cast<std::size_t>(pend.ch[l])];
+      p.ux[l] = u.x;
+      p.uy[l] = u.y;
+      p.uz[l] = u.z;
+      p.vx[l] = v.x;
+      p.vy[l] = v.y;
+      p.vz[l] = v.z;
+      p.ru2[l] = u.norm2();
+      p.rv2[l] = v.norm2();
+      p.B[l] = q.B;
+      p.cos0[l] = q.cos_theta0;
+      p.C[l] = q.C;
+      p.gam[l] = q.gamma;
+      p.r0[l] = q.r0;
+    }
     alignas(64) double el[kLanes];
     alignas(64) double gax[kLanes];
     alignas(64) double gay[kLanes];
@@ -122,9 +155,9 @@ struct BendOp {
     }
     for (int l = 0; l < m; ++l) {
       energy += el[l];
-      Vec3& fa = fd[p.aa[l]];
-      Vec3& fb = fd[p.bb[l]];
-      Vec3& fc = fd[p.cc[l]];
+      Vec3& fa = fd[pend.aa[l]];
+      Vec3& fb = fd[pend.bb[l]];
+      Vec3& fc = fd[pend.cc[l]];
       fa.x -= gax[l];
       fa.y -= gay[l];
       fa.z -= gaz[l];
@@ -137,18 +170,21 @@ struct BendOp {
     }
   }
 
-  double eval(const int* tuples, long long count, std::span<const Vec3> pos,
-              std::span<const int> type, double rcut2, Vec3* fd,
-              std::uint64_t& evals) const {
+  [[gnu::always_inline]] double eval(const int* tuples, long long count,
+                                     std::span<const Vec3> pos,
+                                     std::span<const int> type, double rcut2,
+                                     Vec3* fd, std::uint64_t& evals) const {
     double energy = 0.0;
     std::uint64_t ev = 0;
     const int T = num_types;
     Pending pend;
     int np = 0;
-    // Classification is one scalar pass: the position loads are
-    // index-gathers the portable baseline cannot vectorize anyway, and
-    // keeping u/v in registers avoids staging SoA blocks that ~90% of
-    // tuples never use.
+    // Classification is one branch-free scalar pass: the position loads
+    // are index-gathers the portable baseline cannot vectorize anyway,
+    // and whether a tuple passes the cutoff or is active is close to
+    // random along the stream, so branching on it would mispredict.
+    // Every tuple is written to the next free slot, which is kept only
+    // when the tuple is active.
     for (long long i = 0; i < count; ++i) {
       // Chain (t0, t1, t2): t1 is the angle center (apex).
       const int a = tuples[3 * i];
@@ -161,40 +197,30 @@ struct BendOp {
       // match the enumerator's leg norms bitwise either way.
       const double ru2 = u.norm2();
       const double rv2 = v.norm2();
-      if (!(ru2 < rcut2 && rv2 < rcut2)) continue;
-      ++ev;
-      const BondBendingParams& p =
-          lut[static_cast<std::size_t>((type[static_cast<std::size_t>(a)] * T +
-                                        type[static_cast<std::size_t>(c)]) *
-                                           T +
-                                       type[static_cast<std::size_t>(b)])];
+      const bool within = (ru2 < rcut2) & (rv2 < rcut2);
+      const int ch = (type[static_cast<std::size_t>(a)] * T +
+                      type[static_cast<std::size_t>(c)]) *
+                         T +
+                     type[static_cast<std::size_t>(b)];
+      const BondBendingParams& p = lut[static_cast<std::size_t>(ch)];
       // Inert tuples (no channel, or a leg at/past the screening
-      // cutoff r0) contribute exactly zero — the scalar early-outs.
-      // r < r0 is compared as squares to avoid a sqrt on the ~90%
-      // inert majority; rounding can flip the verdict only within an
-      // ulp of the boundary, where the screening factor exp(γ/(r−r0))
-      // underflows to zero and the contribution vanishes either way.
-      if (p.B == 0.0 || !(ru2 < p.r0 * p.r0) || !(rv2 < p.r0 * p.r0)) {
-        continue;
-      }
+      // cutoff r0) count as evals but contribute exactly zero — the
+      // scalar early-outs.  r < r0 is compared as squares to avoid a
+      // sqrt on the ~90% inert majority; rounding can flip the verdict
+      // only within an ulp of the boundary, where the screening factor
+      // exp(γ/(r−r0)) underflows to zero and the contribution vanishes
+      // either way.
+      const double r02 = p.r0 * p.r0;
+      const bool active =
+          within & (p.B != 0.0) & (ru2 < r02) & (rv2 < r02);
+      ev += within ? 1 : 0;
       pend.aa[np] = a;
       pend.cc[np] = c;
       pend.bb[np] = b;
-      pend.ux[np] = u.x;
-      pend.uy[np] = u.y;
-      pend.uz[np] = u.z;
-      pend.vx[np] = v.x;
-      pend.vy[np] = v.y;
-      pend.vz[np] = v.z;
-      pend.ru2[np] = ru2;
-      pend.rv2[np] = rv2;
-      pend.B[np] = p.B;
-      pend.cos0[np] = p.cos_theta0;
-      pend.C[np] = p.C;
-      pend.gam[np] = p.gamma;
-      pend.r0[np] = p.r0;
-      if (++np == kLanes) {
-        flush(pend, kLanes, energy, fd);
+      pend.ch[np] = ch;
+      np += active ? 1 : 0;
+      if (np == kLanes) {
+        flush(pend, kLanes, pos, energy, fd);
         np = 0;
       }
     }
@@ -204,30 +230,36 @@ struct BendOp {
         pend.aa[l] = pend.aa[np - 1];
         pend.cc[l] = pend.cc[np - 1];
         pend.bb[l] = pend.bb[np - 1];
-        pend.ux[l] = pend.ux[np - 1];
-        pend.uy[l] = pend.uy[np - 1];
-        pend.uz[l] = pend.uz[np - 1];
-        pend.vx[l] = pend.vx[np - 1];
-        pend.vy[l] = pend.vy[np - 1];
-        pend.vz[l] = pend.vz[np - 1];
-        pend.ru2[l] = pend.ru2[np - 1];
-        pend.rv2[l] = pend.rv2[np - 1];
-        pend.B[l] = pend.B[np - 1];
-        pend.cos0[l] = pend.cos0[np - 1];
-        pend.C[l] = pend.C[np - 1];
-        pend.gam[l] = pend.gam[np - 1];
-        pend.r0[l] = pend.r0[np - 1];
+        pend.ch[l] = pend.ch[np - 1];
       }
-      flush(pend, np, energy, fd);
+      flush(pend, np, pos, energy, fd);
     }
     evals += ev;
     return energy;
   }
+
+  [[gnu::flatten]] double eval_baseline(const int* tuples, long long count,
+                                        std::span<const Vec3> pos,
+                                        std::span<const int> type,
+                                        double rcut2, Vec3* fd,
+                                        std::uint64_t& evals) const {
+    return eval(tuples, count, pos, type, rcut2, fd, evals);
+  }
+
+#if SCMD_KERNELS_AVX2_VARIANT
+  [[gnu::target("avx2"), gnu::flatten]] double eval_avx2(
+      const int* tuples, long long count, std::span<const Vec3> pos,
+      std::span<const int> type, double rcut2, Vec3* fd,
+      std::uint64_t& evals) const {
+    return eval(tuples, count, pos, type, rcut2, fd, evals);
+  }
+#endif
 };
 
 }  // namespace
 
-KernelFn bind_triplet_kernel(const ForceField& field) {
+KernelFn bind_triplet_kernel(const ForceField& field,
+                             [[maybe_unused]] Isa isa) {
   BendOp op;
   if (const auto* vp = dynamic_cast<const VashishtaSiO2*>(&field)) {
     op.num_types = vp->num_types();
@@ -249,11 +281,21 @@ KernelFn bind_triplet_kernel(const ForceField& field) {
   } else {
     return {};
   }
+#if SCMD_KERNELS_AVX2_VARIANT
+  if (isa == Isa::kAvx2) {
+    return [op = std::move(op)](const int* tuples, long long count,
+                                std::span<const Vec3> pos,
+                                std::span<const int> type, double rcut2,
+                                Vec3* fd, std::uint64_t& evals) {
+      return op.eval_avx2(tuples, count, pos, type, rcut2, fd, evals);
+    };
+  }
+#endif
   return [op = std::move(op)](const int* tuples, long long count,
                               std::span<const Vec3> pos,
                               std::span<const int> type, double rcut2,
                               Vec3* fd, std::uint64_t& evals) {
-    return op.eval(tuples, count, pos, type, rcut2, fd, evals);
+    return op.eval_baseline(tuples, count, pos, type, rcut2, fd, evals);
   };
 }
 

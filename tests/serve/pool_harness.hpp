@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -198,12 +199,31 @@ inline serve::JobStatus wait_started(serve::ClientConnection& conn,
   }
 }
 
-/// Fresh scratch directory for daemon job artifacts.
-inline std::string make_temp_dir() {
-  std::string tmpl = "/tmp/scmd_serve_test_XXXXXX";
-  char* dir = ::mkdtemp(tmpl.data());
-  SCMD_REQUIRE(dir != nullptr, "mkdtemp failed");
-  return std::string(dir);
-}
+/// Scratch directory for daemon job artifacts, removed with everything
+/// in it when the guard leaves scope.  Declare it before the pool that
+/// writes into it so the pool is torn down first.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl = "/tmp/scmd_serve_test_XXXXXX";
+    char* dir = ::mkdtemp(tmpl.data());
+    SCMD_REQUIRE(dir != nullptr, "mkdtemp failed");
+    path_ = dir;
+  }
+  ~TempDir() {
+    std::error_code ec;  // best effort: never throw from a destructor
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Fresh scratch directory for daemon job artifacts (see TempDir).
+inline TempDir make_temp_dir() { return TempDir(); }
 
 }  // namespace scmd::serve_test

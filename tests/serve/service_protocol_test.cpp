@@ -232,8 +232,9 @@ TEST_P(ServiceProtocolTest, ResourceCapsRejectOversizedJobs) {
 }
 
 TEST_P(ServiceProtocolTest, ResumeByJobId) {
+  const TempDir dir = make_temp_dir();
   serve::DaemonConfig cfg;
-  cfg.dir = make_temp_dir();
+  cfg.dir = dir.path();
   ServicePool pool(GetParam(), 3, cfg);
   ClientConnection conn("127.0.0.1", pool.client_port());
 
